@@ -25,7 +25,7 @@ from .model import ModelConfig, SeparatorModel, forward, init_params, separate
 from .optim import Adam, clip_global_norm
 from .trainer import TrainConfig, train, validate
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Adam", "CheckpointError", "ConfigurationError", "DataError",

@@ -12,6 +12,7 @@ Training runs in float32; gradient checking runs the same graph in float64
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -697,7 +698,20 @@ def conv1d_transpose(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     return _finish(out, (x, kernel), backward)
 
 
-_CONV2D_IDX_CACHE: dict = {}
+@functools.lru_cache(maxsize=32)
+def _conv2d_scatter_index(cin: int, h: int, w: int, kh: int,
+                          kw: int) -> np.ndarray:
+    """Flat input offset of every (output position, patch element) pair of
+    a valid stride-1 convolution; read-only, since callers share it."""
+    ho, wo = h - kh + 1, w - kw + 1
+    ci, di, dj = np.meshgrid(np.arange(cin), np.arange(kh), np.arange(kw),
+                             indexing="ij")
+    patch = (ci * h * w + di * w + dj).reshape(-1)  # (cin*kh*kw,)
+    ii, jj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
+    origin = (ii * w + jj).reshape(-1)  # (ho*wo,)
+    idx = origin[:, None] + patch[None, :]
+    idx.flags.writeable = False
+    return idx
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -719,16 +733,6 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     kmat = kernel.data.reshape(cout, cin * kh * kw)
     out = Tensor((cols @ kmat.T).T.reshape(cout, ho, wo))
 
-    key = (cin, h, w, kh, kw)
-    if key not in _CONV2D_IDX_CACHE:
-        ci, di, dj = np.meshgrid(np.arange(cin), np.arange(kh),
-                                 np.arange(kw), indexing="ij")
-        patch = (ci * h * w + di * w + dj).reshape(-1)  # (cin*kh*kw,)
-        ii, jj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-        origin = (ii * w + jj).reshape(-1)  # (ho*wo,)
-        _CONV2D_IDX_CACHE[key] = origin[:, None] + patch[None, :]
-    flat_idx = _CONV2D_IDX_CACHE[key]
-
     def backward(g):
         g2 = g.reshape(cout, ho * wo)
         if kernel.requires_grad:
@@ -736,7 +740,7 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         if x.requires_grad:
             dcols = g2.T @ kmat  # (ho*wo, cin*kh*kw)
             gx = np.zeros(cin * h * w, dtype=x.data.dtype)
-            np.add.at(gx, flat_idx, dcols)
+            np.add.at(gx, _conv2d_scatter_index(cin, h, w, kh, kw), dcols)
             x.accumulate_grad(gx.reshape(x.data.shape))
     return _finish(out, (x, kernel), backward)
 
@@ -767,7 +771,9 @@ class LSTMParams(NamedTuple):
 
     Leading axis 0/1 = forward/backward direction; gate order along the
     last axis is input, forget, output, cell candidate (the three sigmoid
-    gates first so they activate in one fused call).
+    gates first so they activate in one fused call). bilstm_bank stacks
+    the directions of several sets along one axis D = 2 * sets, forward
+    and backward interleaved, so direction d of set s sits at 2 * s + d.
     """
     wx: Tensor  # (2, F, 4H)
     wh: Tensor  # (2, H, 4H)
@@ -792,9 +798,20 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
     recurrence.
 
     x: (S, F) or (B, S, F). Returns one (B, S, 2H) (or (S, 2H)) tensor per
-    parameter set. All directions of all sets advance together as a single
-    stacked batch, so the per-step work is a handful of large numpy calls
-    instead of many small ones -- this loop is the training hot path.
+    parameter set. All D = 2 * sets directions advance together as one
+    stacked batch, so each step is a handful of large numpy calls -- this
+    loop is the hot path of training and inference.
+
+    Layout: one (S*B, F) @ (F, D*4H) product projects the time-major input
+    for every direction at once; a reverse direction reads it at step
+    S-1-t. Per-step buffers are time-major, (S, D, B, .), so step t is a
+    contiguous slice, and the gate math runs in place.
+
+    Without a recording tape (or when nothing requires grad) the loop
+    keeps only h, c and the hidden states it returns. Under a tape it also
+    saves the activated gates (S, D, B, 4H) and the cell states
+    (S, D, B, H); backward recomputes tanh(c) from them, re-reads x for the
+    input-weight gradient and the outputs for the hidden-weight gradient.
     """
     if not param_sets:
         raise ConfigurationError("bilstm_bank: no parameter sets")
@@ -816,107 +833,137 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
                              "parameters")
     n_sets = len(param_sets)
     D = 2 * n_sets  # sets x directions
+    G, H3 = 4 * H, 3 * H
     wxs = np.concatenate([p.wx.data for p in param_sets])  # (D, F, 4H)
     whs = np.concatenate([p.wh.data for p in param_sets])
     bs = np.concatenate([p.b.data for p in param_sets])
+    tape = active_tape()
+    needs = x.requires_grad or any(
+        p.wx.requires_grad or p.wh.requires_grad or p.b.requires_grad
+        for p in param_sets)
+    keep = tape is not None and needs
 
-    xrev = xd[:, ::-1]
-    X = np.empty((D, B, S, F), dtype=dt)
-    for s in range(n_sets):
-        X[2 * s] = xd
-        X[2 * s + 1] = xrev
-    pre = np.matmul(X.reshape(D, B * S, F), wxs)
-    pre += bs[:, None, :]
-    pre = pre.reshape(D, B, S, 4 * H)
+    proj = xd.transpose(1, 0, 2).reshape(S * B, F) @ \
+        wxs.transpose(1, 0, 2).reshape(F, D * G)
+    proj += bs.reshape(D * G)
+    proj = proj.reshape(S, B, D, G)
 
-    gates = np.empty((D, B, S, 4 * H), dtype=dt)
-    cs = np.empty((D, B, S, H), dtype=dt)
-    tcs = np.empty((D, B, S, H), dtype=dt)
-    hs = np.empty((D, B, S, H), dtype=dt)
+    hs = np.empty((S, D, B, H), dtype=dt)
+    if keep:
+        gates = np.empty((S, D, B, G), dtype=dt)
+        cs = np.empty((S, D, B, H), dtype=dt)
+    else:
+        z = np.empty((D, B, G), dtype=dt)
     h = np.zeros((D, B, H), dtype=dt)
     c = np.zeros((D, B, H), dtype=dt)
-    H3 = 3 * H
+    tmp = np.empty((D, B, H), dtype=dt)
     for t in range(S):
-        z = pre[:, :, t, :] + np.matmul(h, whs)
-        gt = gates[:, :, t, :]
-        # sigmoid(v) = 0.5*tanh(v/2)+0.5, all three gates in one call
-        np.tanh(z[..., :H3] * 0.5, out=gt[..., :H3])
-        gt[..., :H3] *= 0.5
-        gt[..., :H3] += 0.5
-        np.tanh(z[..., H3:], out=gt[..., H3:])
-        c = gt[..., H:2 * H] * c + gt[..., :H] * gt[..., H3:]
-        tc = np.tanh(c)
-        h = gt[..., 2 * H:H3] * tc
-        cs[:, :, t] = c
-        tcs[:, :, t] = tc
-        hs[:, :, t] = h
+        gt = gates[t] if keep else z
+        np.matmul(h, whs, out=gt)
+        gt[0::2] += proj[t, :, 0::2].transpose(1, 0, 2)
+        gt[1::2] += proj[S - 1 - t, :, 1::2].transpose(1, 0, 2)
+        # sigmoid(v) = 0.5*tanh(v/2)+0.5 on the three sigmoid gates, so
+        # one tanh call activates all four
+        sig = gt[..., :H3]
+        sig *= 0.5
+        np.tanh(gt, out=gt)
+        sig *= 0.5
+        sig += 0.5
+        cn = cs[t] if keep else c
+        np.multiply(gt[..., H:2 * H], c, out=cn)
+        np.multiply(gt[..., :H], gt[..., H3:], out=tmp)
+        cn += tmp
+        c = cn
+        np.tanh(c, out=tmp)
+        h = np.multiply(gt[..., 2 * H:H3], tmp, out=hs[t])
+    del proj  # freed before the outputs are allocated
 
-    outs = []
+    ods = []
     for s in range(n_sets):
-        od = np.concatenate([hs[2 * s], hs[2 * s + 1, :, ::-1]], axis=2)
-        outs.append(Tensor(od[0] if squeeze else od))
+        od = np.empty((B, S, 2 * H), dtype=dt)
+        od[..., :H] = hs[:, 2 * s].transpose(1, 0, 2)
+        od[..., H:] = hs[::-1, 2 * s + 1].transpose(1, 0, 2)
+        ods.append(od)
+    outs = [Tensor(od[0] if squeeze else od) for od in ods]
+    for o in outs:
+        o.requires_grad = needs
+    if not keep:
+        return outs
 
     def make_backward(out_grads: list):
-        gst = np.empty((D, B, S, H), dtype=dt)
+        gst = np.empty((S, D, B, H), dtype=dt)
         for s, g in enumerate(out_grads):
             g3 = g[None] if squeeze else g
-            gst[2 * s] = g3[..., :H]
-            gst[2 * s + 1] = g3[:, ::-1, H:]
-        dZ = np.empty((D, B, S, 4 * H), dtype=dt)
+            gst[:, 2 * s] = g3[..., :H].transpose(1, 0, 2)
+            gst[:, 2 * s + 1] = g3[:, ::-1, H:].transpose(1, 0, 2)
+        # dZ stays (D, B, S, 4H): the weight-gradient products below then
+        # reduce over (B, S) rows in batch-major order
+        dZ = np.empty((D, B, S, G), dtype=dt)
         dh = np.zeros((D, B, H), dtype=dt)
         dc = np.zeros((D, B, H), dtype=dt)
+        tc = np.empty((D, B, H), dtype=dt)
+        dht = np.empty((D, B, H), dtype=dt)
+        dct = np.empty((D, B, H), dtype=dt)
+        tmp = np.empty((D, B, H), dtype=dt)
+        tmp3 = np.empty((D, B, H3), dtype=dt)
         wh_t = np.ascontiguousarray(whs.transpose(0, 2, 1))
         for t in range(S - 1, -1, -1):
-            gt = gates[:, :, t, :]
+            gt = gates[t]
             zi = gt[..., :H]
             zf = gt[..., H:2 * H]
             zo = gt[..., 2 * H:H3]
             zg = gt[..., H3:]
-            tc = tcs[:, :, t]
-            dht = gst[:, :, t] + dh
-            dct = dc + dht * zo * (1.0 - tc * tc)
+            np.tanh(cs[t], out=tc)
+            np.add(gst[t], dh, out=dht)
+            # dct = dc + dht * zo * (1 - tc^2)
+            np.multiply(tc, tc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dht, zo, out=dct)
+            dct *= tmp
+            dct += dc
             dzt = dZ[:, :, t, :]
             # raw gate grads, then one fused sigmoid-derivative pass
-            dzt[..., :H] = dct * zg
+            np.multiply(dct, zg, out=dzt[..., :H])
             if t > 0:
-                dzt[..., H:2 * H] = dct * cs[:, :, t - 1]
+                np.multiply(dct, cs[t - 1], out=dzt[..., H:2 * H])
             else:
                 dzt[..., H:2 * H] = 0.0
-            dzt[..., 2 * H:H3] = dht * tc
+            np.multiply(dht, tc, out=dzt[..., 2 * H:H3])
             sg = dzt[..., :H3]
             sgate = gt[..., :H3]
             sg *= sgate
-            sg *= (1.0 - sgate)
-            dzt[..., H3:] = dct * zi * (1.0 - zg * zg)
-            dh = np.matmul(dzt, wh_t)
-            dc = dct * zf
-        dZ2 = dZ.reshape(D, B * S, 4 * H)
+            np.subtract(1.0, sgate, out=tmp3)
+            sg *= tmp3
+            np.multiply(zg, zg, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            dg = dzt[..., H3:]
+            np.multiply(dct, zi, out=dg)
+            dg *= tmp
+            np.matmul(dzt, wh_t, out=dh)
+            np.multiply(dct, zf, out=dc)
+        dZ2 = dZ.reshape(D, B * S, G)
+        if any(p.wx.requires_grad for p in param_sets):
+            X2 = np.stack([xd, xd[:, ::-1]]).reshape(2, B * S, F)
         for s, p in enumerate(param_sets):
             sl = slice(2 * s, 2 * s + 2)
             if p.b.requires_grad:
                 p.b.accumulate_grad(dZ[sl].sum(axis=(1, 2)))
             if p.wh.requires_grad:
+                # the outputs hold the hidden states; the reverse half is
+                # stored in input time order
                 h_prev = np.zeros((2, B, S, H), dtype=dt)
-                h_prev[:, :, 1:] = hs[sl][:, :, :-1]
+                h_prev[0, :, 1:] = ods[s][:, :-1, :H]
+                h_prev[1, :, 1:] = ods[s][:, :0:-1, H:]
                 p.wh.accumulate_grad(np.matmul(
                     h_prev.reshape(2, B * S, H).transpose(0, 2, 1),
                     dZ2[sl]))
             if p.wx.requires_grad:
-                p.wx.accumulate_grad(np.matmul(
-                    X[sl].reshape(2, B * S, F).transpose(0, 2, 1), dZ2[sl]))
+                p.wx.accumulate_grad(np.matmul(X2.transpose(0, 2, 1),
+                                               dZ2[sl]))
         if x.requires_grad:
             dX = np.matmul(dZ2, wxs.transpose(0, 2, 1)).reshape(D, B, S, F)
             dx = dX[0::2].sum(axis=0) + dX[1::2, :, ::-1].sum(axis=0)
             x.accumulate_grad(dx[0] if squeeze else dx)
-
-    tape = active_tape()
-    needs = x.requires_grad or any(
-        p.wx.requires_grad or p.wh.requires_grad or p.b.requires_grad
-        for p in param_sets)
-    for o in outs:
-        o.requires_grad = needs
-    if tape is None or not needs:
-        return outs
 
     # Several tape outputs share one recurrence, so grads are buffered as
     # the reverse sweep delivers them and the fused BPTT runs once, from an

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dsp
 from .autodiff import LSTMParams, Tensor
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, NumericError
 
 
 @dataclass
@@ -216,8 +216,14 @@ def forward(model: SeparatorModel, x, multiloss: bool = True) -> list:
 
 
 def separate(model: SeparatorModel, x: np.ndarray) -> list[np.ndarray]:
-    """Inference: final-scale estimates as plain arrays (no tape)."""
+    """Inference: final-scale estimates as plain arrays (no tape).
+
+    Raises NumericError if the input holds a NaN or an infinity (also one
+    that appears on conversion to float32).
+    """
     x = np.asarray(x, dtype=np.float32)
+    if not np.isfinite(x).all():
+        raise NumericError("separate: input holds non-finite samples")
     groups = forward(model, Tensor(x), multiloss=False)
     return [ch.data.copy() for ch in groups[-1]]
 

@@ -12,7 +12,6 @@ from . import checkpoint as ckpt
 from . import evalkit
 from . import losses
 from . import model as separator
-from .data import SAMPLE_RATE
 from .errors import ConfigurationError, InputError, NumericError
 from .optim import Adam, clip_global_norm
 
@@ -59,14 +58,14 @@ class EpochLog:
         return f"{self.epoch}|{self.lr:.8g}|{self.train_loss:.6f}|{val}"
 
 
-def _crop(entry, seg_len: int, rng) -> tuple:
-    """Random training crop of a manifest entry (mixture + sources)."""
+def _crop(entry, seg_len: int, stride: int, rng) -> tuple:
+    """Random training crop of a manifest entry (mixture + sources) that
+    starts on a multiple of the encoder stride."""
     n = len(entry.mixture)
     if n <= seg_len:
         return entry.mixture, entry.sources
     off = int(rng.integers(n - seg_len + 1))
-    # keep the encoder's stride alignment
-    off -= off % 4
+    off -= off % stride
     sl = slice(off, off + seg_len)
     return entry.mixture[sl], [s[sl] for s in entry.sources]
 
@@ -107,7 +106,8 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
             opt.load_state_arrays(opt_state)
         start_epoch = step // steps_per_epoch + 1
 
-    seg_len = int(round(cfg.segment_s * SAMPLE_RATE))
+    seg_len = int(round(cfg.segment_s * model.config.sample_rate))
+    stride = model.config.kernel_len // 2
     logs = []
     best_val = -np.inf
     if out_dir:
@@ -126,7 +126,8 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
             with ad.Tape() as tape:
                 total = None
                 for i in idxs:
-                    x, targets = _crop(train_entries[i], seg_len, rng)
+                    x, targets = _crop(train_entries[i], seg_len, stride,
+                                       rng)
                     x32 = np.asarray(x, dtype=np.float32)
                     t32 = [np.asarray(t, dtype=np.float32) for t in targets]
                     groups = separator.forward(model, ad.Tensor(x32),

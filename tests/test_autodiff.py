@@ -154,6 +154,18 @@ def test_conv2d_avgpool_grads():
     check(lambda: weighted_sum(ad.avgpool2d(y)), [("y", y)])
 
 
+def test_conv2d_index_cache_is_bounded():
+    k = ad.Tensor(np.ones((1, 1, 2, 2)))
+    cache = ad._conv2d_scatter_index
+    for w in range(2, 2 + 3 * cache.cache_info().maxsize):
+        x = t64((1, 3, w))
+        with ad.Tape() as tape:
+            tape.backward(ad.tsum(ad.conv2d(x, k)))
+        np.testing.assert_array_equal(x.grad[0, 1, 1:-1],
+                                      np.full(w - 2, 4.0))
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
 def test_avgpool_trims_odd_edges():
     y = t64((1, 5, 7))
     assert ad.avgpool2d(y).data.shape == (1, 2, 3)

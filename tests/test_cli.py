@@ -152,6 +152,18 @@ def test_exit_code_checkpoint_error(tmp_path):
     assert code == 4
 
 
+def test_exit_code_numeric_error(tmp_path, trained, monkeypatch):
+    # PCM16 cannot hold NaN, so the reader hands one over directly
+    def nan_read(path):
+        x = np.zeros(400)
+        x[7] = np.nan
+        return x, 8000
+    monkeypatch.setattr(dataio, "wav_read", nan_read)
+    code = main(["separate", "--out", str(tmp_path / "o"), "--checkpoint",
+                 os.path.join(trained, "best.ckpt"), "--in", "mix.wav"])
+    assert code == 5
+
+
 def test_select_requires_threshold_or_calibration(tmp_path, trained):
     wav = tmp_path / "x.wav"
     dataio.wav_write(wav, np.zeros(400))

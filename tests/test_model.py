@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import voicesep.autodiff as ad
-from voicesep.errors import ConfigurationError, InputError
+from voicesep.errors import ConfigurationError, InputError, NumericError
 from voicesep.model import (ModelConfig, count_parameters, forward,
                             init_params, separate)
 
@@ -71,6 +71,16 @@ def test_separate_matches_final_group():
     groups = forward(m, ad.Tensor(x.astype(np.float32)), multiloss=False)
     for a, b in zip(outs, groups[0]):
         np.testing.assert_array_equal(a, b.data)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_separate_rejects_non_finite_input(bad):
+    """1e39 is finite in float64 but overflows the float32 the model uses."""
+    x = np.zeros(800)
+    x[123] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        separate(small_model(), x)
 
 
 def test_gating_ablation_changes_param_count():

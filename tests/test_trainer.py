@@ -146,6 +146,33 @@ def test_validate_is_pure():
         np.testing.assert_array_equal(t.data, b)
 
 
+def test_crop_starts_on_encoder_stride():
+    entry = dataio.ManifestEntry(mixture=np.arange(4000.0),
+                                 sources=[np.arange(4000.0)] * 2,
+                                 speaker_ids=["a", "b"], gains=[1.0, 1.0])
+    rng = np.random.default_rng(0)
+    offsets = {int(trainer._crop(entry, 1000, 8, rng)[0][0])
+               for _ in range(200)}
+    assert all(off % 8 == 0 for off in offsets) and len(offsets) > 100
+
+
+def test_train_crops_with_model_stride_and_rate(monkeypatch):
+    """kernel_len=16 means stride 8; a 4 kHz model reads 0.25 s as 1000
+    samples, not the 2000 of the corpus rate."""
+    cfg = ModelConfig(n_filters=8, hidden=8, num_blocks=2, kernel_len=16,
+                      num_speakers=2, chunk_len=6, sample_rate=4000)
+    calls = []
+    crop = trainer._crop
+
+    def spy(entry, seg_len, stride, rng):
+        calls.append((seg_len, stride))
+        return crop(entry, seg_len, stride, rng)
+    monkeypatch.setattr(trainer, "_crop", spy)
+    trainer.train(init_params(cfg, seed=0), None, tiny_entries(n=2),
+                  small_cfg(epochs=1))
+    assert calls == [(1000, 8)] * 2
+
+
 def test_multiloss_off_changes_objective():
     # needs more than one output group, i.e. num_blocks > 2
     deep = ModelConfig(n_filters=8, hidden=8, num_blocks=4, kernel_len=4,
