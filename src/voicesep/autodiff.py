@@ -329,19 +329,6 @@ def row_scale(x: Tensor, c: np.ndarray) -> Tensor:
     return _finish(out, (x,), backward)
 
 
-def const_mul(x: Tensor, c: np.ndarray) -> Tensor:
-    """Elementwise multiply by a constant array of the same shape."""
-    c = np.asarray(c, dtype=x.data.dtype)
-    if c.shape != x.data.shape:
-        raise DimensionError(
-            f"const_mul: shape mismatch ({x.data.shape} vs {c.shape})")
-    out = Tensor(x.data * c)
-
-    def backward(g):
-        x.accumulate_grad(g * c)
-    return _finish(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
@@ -492,12 +479,6 @@ def pad_rows(x: Tensor, front: int, back: int) -> Tensor:
     return _finish(out, (x,), backward)
 
 
-def stack0(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack along a new leading axis."""
-    expanded = [reshape(t, (1,) + tuple(t.shape)) for t in tensors]
-    return concat(expanded, axis=0) if len(expanded) > 1 else expanded[0]
-
-
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """out[...] = x[idx[...]] along axis 0 (idx may repeat / reflect)."""
     idx = np.asarray(idx)
@@ -516,18 +497,14 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 # Chunking / overlap-add kernels (axis 0 = frames)
 # ---------------------------------------------------------------------------
 
-def _ola_scatter(a: np.ndarray, hop: int, out_len: int) -> np.ndarray:
-    """Sum (R, K, ...) windows into a (out_len, ...) buffer at offsets hop."""
-    r, k = a.shape[0], a.shape[1]
-    out = np.zeros((out_len,) + a.shape[2:], dtype=a.dtype)
-    if k == 2 * hop and out_len == (r + 1) * hop:
-        # 50% overlap: each hop-slot receives exactly two half-windows.
-        slots = out.reshape((r + 1, hop) + a.shape[2:])
-        slots[:r] += a[:, :hop]
-        slots[1:] += a[:, hop:]
-    else:
-        for j in range(r):
-            out[j * hop:j * hop + k] += a[j]
+def _ola_scatter(a: np.ndarray) -> np.ndarray:
+    """Sum (R, K, ...) windows at hop K/2 into a ((R+1)*K/2, ...) buffer:
+    each hop-slot receives exactly two half-windows."""
+    r, hop = a.shape[0], a.shape[1] // 2
+    out = np.zeros(((r + 1) * hop,) + a.shape[2:], dtype=a.dtype)
+    slots = out.reshape((r + 1, hop) + a.shape[2:])
+    slots[:r] += a[:, :hop]
+    slots[1:] += a[:, hop:]
     return out
 
 
@@ -538,34 +515,38 @@ def _window_view(x: np.ndarray, k: int, hop: int, r: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
 
 
-def chunk_rows(x: Tensor, k: int, hop: int) -> Tensor:
-    """Cut x (frames first) into overlapping windows -> (R, K, ...).
+def chunk_rows(x: Tensor, k: int) -> Tensor:
+    """Cut x (frames first) into windows of even length K at hop K/2 ->
+    (R, K, ...).
 
-    The padded length must tile exactly: (R-1)*hop + K == len(x).
+    The padded length must tile exactly: (R-1)*K/2 + K == len(x).
     """
     n = x.data.shape[0]
-    if k <= 0 or hop <= 0:
-        raise ConfigurationError("chunk_rows: K and hop must be positive")
-    if (n - k) % hop != 0:
+    if k <= 0 or k % 2 != 0:
+        raise ConfigurationError("chunk_rows: K must be positive and even")
+    hop = k // 2
+    if n < k or n % hop != 0:
         raise DimensionError(
             f"chunk_rows: length {n} does not tile with K={k}, hop={hop}")
     r = (n - k) // hop + 1
     out = Tensor(np.ascontiguousarray(_window_view(x.data, k, hop, r)))
 
     def backward(g):
-        x.accumulate_grad(_ola_scatter(g, hop, n))
+        x.accumulate_grad(_ola_scatter(g))
     return _finish(out, (x,), backward)
 
 
-def ola_rows(c: Tensor, hop: int, out_len: int) -> Tensor:
-    """Overlap-add (R, K, ...) windows back to (out_len, ...). Pure sum;
-    coverage normalization is the caller's job (see dsp.overlap_add)."""
+def ola_rows(c: Tensor, out_len: int) -> Tensor:
+    """Overlap-add (R, K, ...) windows at hop K/2 back to (out_len, ...).
+    Pure sum; coverage normalization is the caller's job (see
+    dsp.overlap_add)."""
     r, k = c.data.shape[0], c.data.shape[1]
-    if (r - 1) * hop + k != out_len:
+    hop = k // 2
+    if k % 2 != 0 or (r + 1) * hop != out_len:
         raise DimensionError(
-            f"ola_rows: {r} windows of {k} at hop {hop} do not produce "
+            f"ola_rows: {r} windows of {k} at hop K/2 do not produce "
             f"{out_len} frames")
-    out = Tensor(_ola_scatter(c.data, hop, out_len))
+    out = Tensor(_ola_scatter(c.data))
 
     def backward(g):
         c.accumulate_grad(np.ascontiguousarray(

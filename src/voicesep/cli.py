@@ -209,12 +209,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_wav_for(path, models):
+    """The WAV's samples and rate; InputError unless every model runs at
+    that rate."""
+    x, rate = dataio.wav_read(path)
+    for model in models:
+        if model.config.sample_rate != rate:
+            raise InputError(
+                f"{path}: sampled at {rate} Hz, model expects "
+                f"{model.config.sample_rate} Hz")
+    return x, rate
+
+
 def _load_separator_and_wav(args):
     model, _, _, _ = ckpt.load_separator(args.checkpoint)
-    x, rate = dataio.wav_read(args.wav_in)
-    stride = model.config.kernel_len // 2
-    if len(x) % stride:
-        x = x[:len(x) - len(x) % stride]
+    x, rate = _read_wav_for(args.wav_in, [model])
     return model, x, rate
 
 
@@ -272,6 +281,7 @@ def cmd_select(args) -> int:
                                   "calibrate": None})
     rc.dump(args.out)
     models = _parse_cascade(args.cascade)
+    x, rate = _read_wav_for(args.wav_in, models.values())
     threshold = rc["threshold"]
     if threshold is None:
         if not rc["calibrate"]:
@@ -279,7 +289,6 @@ def cmd_select(args) -> int:
         entries = dataio.load_manifest(rc["calibrate"])
         samples = [(e.mixture, len(e.sources)) for e in entries]
         threshold = evalkit.calibrate_threshold(samples, models)
-    x, rate = dataio.wav_read(args.wav_in)
     report, channels = evalkit.select_count(x, models, threshold)
     _write_channels(args.out, channels, rate)
     with open(os.path.join(args.out, "selection.json"), "w") as f:

@@ -29,8 +29,7 @@ from .errors import ConfigurationError, DimensionError, InputError
 class ChunkTensor:
     """Overlapping chunks of a latent sequence plus un-chunking metadata."""
     data: Tensor          # (R, K, N) or (R, K)
-    k: int                # chunk length
-    hop: int              # hop between chunk starts
+    k: int                # chunk length, even
     pad_front: int
     pad_back: int
     t_latent: int         # original latent length T'
@@ -38,6 +37,11 @@ class ChunkTensor:
     @property
     def r(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def hop(self) -> int:
+        """Hop between chunk starts: always K/2 (50% overlap)."""
+        return self.k // 2
 
     def validate(self) -> None:
         if self.data.shape[1] != self.k:
@@ -62,45 +66,30 @@ def default_chunk_len(t_latent: int) -> int:
     return max(k, 2)
 
 
-def chunk(z: Tensor, k: int, hop: int | None = None) -> ChunkTensor:
-    """Cut a (T', N) latent into R overlapping chunks of length K.
-
-    With the default hop K/2, R = ceil(2*T'/K)+1: a front pad of one hop
-    plus a back pad round every frame's coverage up so that un-chunking
-    is exact.
+def chunk(z: Tensor, k: int) -> ChunkTensor:
+    """Cut a (T', N) latent into R = ceil(2*T'/K)+1 chunks of length K at
+    hop K/2. A front pad of one hop plus a back pad round every frame's
+    coverage up so that un-chunking is exact.
     """
-    if k <= 0:
-        raise ConfigurationError(f"chunk: K must be positive, got {k}")
-    if hop is None:
-        if k % 2 != 0:
-            raise ConfigurationError(f"chunk: K must be even, got {k}")
-        hop = k // 2
-    if hop <= 0 or hop > k:
-        raise ConfigurationError(f"chunk: hop {hop} outside (0, K]")
+    if k <= 0 or k % 2 != 0:
+        raise ConfigurationError(f"chunk: K must be positive and even, "
+                                 f"got {k}")
     z = ad.as_tensor(z)
     t_latent = z.shape[0]
     if t_latent < 1:
         raise InputError("chunk: empty latent")
-    if 2 * hop == k:
-        r = chunk_count(t_latent, k)
-    else:
-        r = max(1, math.ceil((hop + t_latent - k) / hop) + 1)
-        while (r - 1) * hop + k < hop + t_latent:
-            r += 1
-    pad_front = hop
-    pad_back = (r - 1) * hop + k - pad_front - t_latent
-    padded = ad.pad_rows(z, pad_front, pad_back)
-    data = ad.chunk_rows(padded, k, hop)
-    return ChunkTensor(data=data, k=k, hop=hop, pad_front=pad_front,
-                       pad_back=pad_back, t_latent=t_latent)
+    hop = k // 2
+    pad_back = chunk_count(t_latent, k) * hop - t_latent
+    data = ad.chunk_rows(ad.pad_rows(z, hop, pad_back), k)
+    return ChunkTensor(data=data, k=k, pad_front=hop, pad_back=pad_back,
+                       t_latent=t_latent)
 
 
 def coverage(ct: ChunkTensor) -> np.ndarray:
-    """Number of chunks covering each padded frame position."""
-    padded = ct.pad_front + ct.t_latent + ct.pad_back
-    cov = np.zeros(padded)
-    for j in range(ct.r):
-        cov[j * ct.hop:j * ct.hop + ct.k] += 1.0
+    """Number of chunks covering each padded frame position: two, except
+    one in the first and in the last hop."""
+    cov = np.full(ct.pad_front + ct.t_latent + ct.pad_back, 2.0)
+    cov[:ct.hop] = cov[-ct.hop:] = 1.0
     return cov
 
 
@@ -109,11 +98,8 @@ def overlap_add(ct: ChunkTensor) -> Tensor:
     strip the padding. Exact inverse of chunk() by construction."""
     ct.validate()
     padded = ct.pad_front + ct.t_latent + ct.pad_back
-    summed = ad.ola_rows(ct.data, ct.hop, padded)
-    cov = coverage(ct)
-    if np.any(cov == 0):
-        raise DimensionError("overlap_add: uncovered frame positions")
-    normed = ad.row_scale(summed, 1.0 / cov)
+    summed = ad.ola_rows(ct.data, padded)
+    normed = ad.row_scale(summed, 1.0 / coverage(ct))
     return ad.slice_rows(normed, ct.pad_front, ct.pad_front + ct.t_latent)
 
 

@@ -227,9 +227,3 @@ def train_embedder(corpus, epochs: int = 20, seed: int = 0,
     acc = _accuracy(model, hold_clips, hold_labels)
     return model, acc
 
-
-def training_accuracy(model: EmbedderModel, corpus) -> float:
-    labels = {spk: i for i, spk in enumerate(model.classes)}
-    clips = [np.asarray(c, dtype=np.float32) for c, _ in corpus]
-    labs = [labels[s] for _, s in corpus]
-    return _accuracy(model, clips, labs)

@@ -3,7 +3,6 @@ augmentation, the channel-switch metric, and ideal-mask oracles."""
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -18,16 +17,22 @@ SWITCH_ENERGY_GATE_DB = -60.0
 SWITCH_CLIP_S = 0.25
 
 
-def si_snr_value(target, estimate) -> float:
-    return losses.si_snr(np.asarray(target, dtype=np.float64),
-                         np.asarray(estimate, dtype=np.float64)).item()
+def _f64(chans) -> list:
+    return [np.asarray(ch, dtype=np.float64) for ch in chans]
 
 
 def align(targets, estimates) -> losses.PermutationAssignment:
-    """Optimal channel-to-target assignment (no gradients involved)."""
-    mat = losses.pairwise_matrix(
-        [np.asarray(t, dtype=np.float64) for t in targets],
-        [np.asarray(e, dtype=np.float64) for e in estimates])
+    """Optimal assignment of each target to a distinct estimate (no
+    gradients involved), by losses.best_permutation on the pairwise SI-SNR
+    matrix: deterministic, and the all-equal matrix gives the identity.
+
+    Estimates may outnumber targets (the extra channels stay unassigned);
+    fewer estimates than targets raise InputError.
+    """
+    if len(estimates) < len(targets):
+        raise InputError(f"align: {len(estimates)} channels for "
+                         f"{len(targets)} sources")
+    mat = losses.pairwise_matrix(_f64(targets), _f64(estimates))
     perm = losses.best_permutation(mat)
     score = float(np.mean([mat[i, perm[i]] for i in range(len(perm))]))
     return losses.PermutationAssignment(perm=perm, score=score)
@@ -41,13 +46,14 @@ def si_snri(targets, estimates, mixture) -> float:
     if len(targets) != len(estimates):
         raise InputError(
             f"si_snri: {len(targets)} targets vs {len(estimates)} estimates")
-    vals = [si_snr_value(t, e) - si_snr_value(t, mixture)
-            for t, e in zip(targets, estimates)]
+    mix = np.asarray(mixture, dtype=np.float64)
+    vals = [losses.si_snr(t, e).item() - losses.si_snr(t, mix).item()
+            for t, e in zip(_f64(targets), _f64(estimates))]
     return float(np.mean(vals))
 
 
 def aligned_si_snri(targets, estimates, mixture) -> tuple:
-    """(SI-SNRi at the optimal permutation, that permutation)."""
+    """(SI-SNRi at the optimal assignment, that assignment); see align."""
     assign = align(targets, estimates)
     ordered = [estimates[assign.perm[i]] for i in range(len(targets))]
     return si_snri(targets, ordered, mixture), assign.perm
@@ -136,8 +142,9 @@ def tta_separate(x, model, k: int, seed: int) -> list:
     """Average separations of k random cyclic rotations of the input.
 
     The unshifted separation is the reference; each rotated result is
-    un-rotated, channel-matched to the reference by total MSE over all
-    channels (brute force), and accumulated. k=0 returns the reference
+    un-rotated, channel-matched to the reference by the least total MSE
+    over all channels (losses.best_permutation on the negated per-pair MSE
+    matrix, with its tie rule), and accumulated. k=0 returns the reference
     bit-exactly.
     """
     if k < 0:
@@ -146,21 +153,17 @@ def tta_separate(x, model, k: int, seed: int) -> list:
     reference = separator.separate(model, x)
     if k == 0:
         return reference
-    c = len(reference)
     acc = [ch.astype(np.float64) for ch in reference]
     rng = np.random.default_rng(seed)
     for _ in range(k):
         cut = int(rng.integers(len(x)))
         rolled = separator.separate(model, np.roll(x, -cut))
         undone = [np.roll(ch, cut) for ch in rolled]
-        best_perm, best_mse = None, None
-        for perm in permutations(range(c)):
-            mse = sum(float(np.mean(np.square(
-                undone[perm[i]] - reference[i]))) for i in range(c))
-            if best_mse is None or mse < best_mse:
-                best_perm, best_mse = perm, mse
-        for i in range(c):
-            acc[i] += undone[best_perm[i]]
+        mse = np.array([[np.mean(np.square(u - ref)) for u in undone]
+                        for ref in reference])
+        perm = losses.best_permutation(-mse)
+        for i, j in enumerate(perm):
+            acc[i] += undone[j]
     return [a / (k + 1) for a in acc]
 
 
@@ -189,18 +192,18 @@ def switch_rate(entries, model, clip_s: float = SWITCH_CLIP_S,
 
 
 def flag_switch(targets, estimates, clip_len: int) -> bool:
+    """True if any estimate's best-SI-SNR target changes across the
+    clip_len sub-clips where every target is active."""
     n = len(targets[0])
-    assignments = [[] for _ in estimates]
+    assignments = []
     for start in range(0, n - clip_len + 1, clip_len):
         sl = slice(start, start + clip_len)
-        tclips = [np.asarray(t[sl], dtype=np.float64) for t in targets]
+        tclips = _f64(t[sl] for t in targets)
         if any(activity_level(tc) < SWITCH_ENERGY_GATE_DB for tc in tclips):
             continue
-        for j, e in enumerate(estimates):
-            eclip = np.asarray(e[sl], dtype=np.float64)
-            scores = [losses.si_snr(tc, eclip).item() for tc in tclips]
-            assignments[j].append(int(np.argmax(scores)))
-    return any(len(set(a)) > 1 for a in assignments)
+        mat = losses.pairwise_matrix(tclips, _f64(e[sl] for e in estimates))
+        assignments.append(np.argmax(mat, axis=0))
+    return any(len(set(a)) > 1 for a in zip(*assignments))
 
 
 # --- ideal-mask oracles (32 ms window, 8 ms hop, 2048-point FFT) ---
@@ -241,13 +244,6 @@ def irm_oracle(x, sources, sample_rate: int = 8000) -> list:
     total = np.maximum(np.sum(np.stack(mags), axis=0), 1e-12)
     return [dsp.mixture_phase_reconstruct(m / total, mix_spec)
             for m in mags]
-
-
-def irm_masks(x, sources, sample_rate: int = 8000) -> list:
-    """The ratio masks themselves (for invariant checks)."""
-    _, mags = _oracle_specs(x, sources, sample_rate)
-    total = np.maximum(np.sum(np.stack(mags), axis=0), 1e-12)
-    return [m / total for m in mags]
 
 
 # --- evaluation reports ---
@@ -323,7 +319,9 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
 
     When `models` (a C->model cascade) and `threshold` are given, the
     speaker count is auto-selected per sample; otherwise `model` runs
-    as-is. Scoring uses c*s references and optimal channel assignment.
+    as-is. Each sample is scored by aligned_si_snri: the references map to
+    distinct channels, and superfluous channels are left out. Fewer
+    channels than references raise InputError.
     """
     report = EvalReport()
     for idx, entry in enumerate(entries):
@@ -336,22 +334,8 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
                     if tta_k > 0 else separator.separate(model,
                                                          entry.mixture))
             selected_c = len(ests)
-        # score against references using the top min(C) channels
         refs = entry.sources
-        if len(ests) > len(refs):
-            # superfluous channels: keep the best-matching subset via the
-            # optimal assignment of refs into estimates
-            mat = np.array([[si_snr_value(r, e) for e in ests]
-                            for r in refs])
-            used = _best_injection(mat)
-            ests_used = [ests[j] for j in used]
-            value = si_snri(refs, ests_used, entry.mixture)
-            perm = tuple(used)
-        elif len(ests) < len(refs):
-            raise InputError(
-                f"evaluate: {len(ests)} channels for {len(refs)} sources")
-        else:
-            value, perm = aligned_si_snri(refs, ests, entry.mixture)
+        value, perm = aligned_si_snri(refs, ests, entry.mixture)
         clip = int(round(SWITCH_CLIP_S * data.SAMPLE_RATE))
         ordered = [ests[perm[i]] for i in range(len(refs))]
         switched = (flag_switch(refs, ordered, clip)
@@ -361,14 +345,3 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
             true_c=true_c, selected_c=selected_c))
     return report
 
-
-def _best_injection(mat: np.ndarray) -> tuple:
-    """Best one-to-one map of each row (target) to a distinct column
-    (estimate), maximizing the mean score; brute force, C <= 5 rows."""
-    rows, cols = mat.shape
-    best, best_val = None, None
-    for perm in permutations(range(cols), rows):
-        val = sum(mat[i, perm[i]] for i in range(rows))
-        if best_val is None or val > best_val:
-            best, best_val = perm, val
-    return best

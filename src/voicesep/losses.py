@@ -8,7 +8,6 @@ and log arguments are floored at 1e-8 so a perfect estimate stays finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 import warnings
 
 import numpy as np
@@ -61,46 +60,49 @@ def si_snr(target, estimate) -> Tensor:
 
 
 def pairwise_matrix_tensors(targets, estimates) -> list:
-    """C x C nested list of scalar tensors; entry [i][j] = si_snr(s_i, e_j)."""
-    if len(targets) != len(estimates):
+    """len(targets) x len(estimates) nested list of scalar tensors; entry
+    [i][j] = si_snr(s_i, e_j). Needs no more targets than estimates."""
+    if len(targets) > len(estimates):
         raise InputError(
-            f"pairwise matrix needs equal channel counts, got "
-            f"{len(targets)} vs {len(estimates)}")
+            f"pairwise matrix needs at least as many estimates as targets, "
+            f"got {len(targets)} targets vs {len(estimates)} estimates")
     return [[si_snr(s, e) for e in estimates] for s in targets]
 
 
 def pairwise_matrix(targets, estimates) -> np.ndarray:
-    """C x C dB matrix as plain floats."""
+    """len(targets) x len(estimates) dB matrix as plain floats."""
     m = pairwise_matrix_tensors(targets, estimates)
     return np.array([[cell.item() for cell in row] for row in m])
 
 
 def best_permutation(score_matrix: np.ndarray) -> tuple:
-    """Exhaustive search over C! permutations; ties broken toward the
-    lexicographically smallest permutation."""
-    c = score_matrix.shape[0]
-    best, best_score = None, -np.inf
-    for perm in permutations(range(c)):
-        score = sum(score_matrix[i][perm[i]] for i in range(c)) / c
-        if score > best_score:
-            best, best_score = perm, score
-    return best
+    """Assignment of each row (target) to a distinct column (estimate)
+    that maximizes the summed score: the Hungarian method, via scipy's
+    linear_sum_assignment. Accepts rows <= cols; row i maps to column
+    perm[i]. Ties are broken deterministically; the all-equal matrix gives
+    the identity."""
+    # imported here: scipy.optimize adds about 48 MB of resident memory,
+    # which inference (separate) never needs
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = score_matrix.shape
+    if rows > cols:
+        raise InputError(
+            f"best_permutation: {rows} rows but only {cols} columns")
+    _, perm = linear_sum_assignment(score_matrix, maximize=True)
+    return tuple(int(j) for j in perm)
 
 
-def upit(targets, estimates, max_channels: int = 8):
+def upit(targets, estimates):
     """Utterance-level permutation-invariant loss.
 
     Returns (loss tensor, PermutationAssignment). loss = -mean SI-SNR at
-    the best permutation; gradients flow through the selected entries only.
+    the best permutation (best_permutation's tie rule); gradients flow
+    through the selected entries only.
     """
     c = len(targets)
     if c != len(estimates):
         raise InputError(f"upit: channel count mismatch ({c} vs "
                          f"{len(estimates)})")
-    if c > max_channels:
-        raise InputError(
-            f"upit: brute force over {c}! permutations refused (C > "
-            f"{max_channels})")
     cells = pairwise_matrix_tensors(targets, estimates)
     values = np.array([[cell.item() for cell in row] for row in cells])
     perm = best_permutation(values)

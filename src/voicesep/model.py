@@ -10,7 +10,7 @@ PReLU + 1x1 decoder produces one group of C candidate waveforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -166,9 +166,7 @@ def mulcat_block(model: SeparatorModel, ct: dsp.ChunkTensor,
                      model.params[f"block{index}.proj.b"])
     if along_r:
         proj = ad.transpose(proj, (1, 0, 2))
-    return dsp.ChunkTensor(data=proj, k=ct.k, hop=ct.hop,
-                           pad_front=ct.pad_front, pad_back=ct.pad_back,
-                           t_latent=ct.t_latent)
+    return replace(ct, data=proj)
 
 
 def decode_head(model: SeparatorModel, ct: dsp.ChunkTensor,
@@ -184,10 +182,7 @@ def decode_head(model: SeparatorModel, ct: dsp.ChunkTensor,
     channels = ad.split(y, [cfg.n_filters] * cfg.num_speakers, axis=2)
     outs = []
     for ch in channels:
-        cct = dsp.ChunkTensor(data=ch, k=ct.k, hop=ct.hop,
-                              pad_front=ct.pad_front, pad_back=ct.pad_back,
-                              t_latent=ct.t_latent)
-        lat = dsp.overlap_add(cct)                      # (T', N)
+        lat = dsp.overlap_add(replace(ct, data=ch))     # (T', N)
         lat = ad.transpose(lat, (1, 0))                 # (N, T')
         wav = ad.conv1d_transpose(lat, model.params["wavedec.kernel"],
                                   cfg.kernel_len // 2)  # (1, T)
@@ -216,16 +211,23 @@ def forward(model: SeparatorModel, x, multiloss: bool = True) -> list:
 
 
 def separate(model: SeparatorModel, x: np.ndarray) -> list[np.ndarray]:
-    """Inference: final-scale estimates as plain arrays (no tape).
+    """Inference: final-scale estimates as plain arrays (no tape), each
+    as long as the input.
 
-    Raises NumericError if the input holds a NaN or an infinity (also one
-    that appears on conversion to float32).
+    An input whose length is not a multiple of the encoder stride is
+    zero-padded up to one, and every channel is cropped back. Raises
+    NumericError if the input holds a NaN or an infinity (also one that
+    appears on conversion to float32).
     """
     x = np.asarray(x, dtype=np.float32)
     if not np.isfinite(x).all():
         raise NumericError("separate: input holds non-finite samples")
+    n = x.shape[0] if x.ndim == 1 else 0   # encode rejects other ranks
+    pad = -n % (model.config.kernel_len // 2)
+    if pad:
+        x = np.pad(x, (0, pad))
     groups = forward(model, Tensor(x), multiloss=False)
-    return [ch.data.copy() for ch in groups[-1]]
+    return [ch.data[:n].copy() for ch in groups[-1]]
 
 
 def count_parameters(model: SeparatorModel) -> int:

@@ -106,8 +106,9 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
             opt.load_state_arrays(opt_state)
         start_epoch = step // steps_per_epoch + 1
 
-    seg_len = int(round(cfg.segment_s * model.config.sample_rate))
     stride = model.config.kernel_len // 2
+    seg_len = int(round(cfg.segment_s * model.config.sample_rate))
+    seg_len -= seg_len % stride   # encode needs a multiple of the stride
     logs = []
     best_val = -np.inf
     if out_dir:

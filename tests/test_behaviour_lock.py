@@ -1,0 +1,139 @@
+"""Behaviour lock: fixed-seed outputs of the public scoring, test-time
+augmentation and training paths, recorded as literals.
+
+The literals were recorded before the assignment search moved from
+brute-force permutation loops to `linear_sum_assignment` and before the
+chunk geometry was fixed at hop K/2. Matching them shows those changes
+left what a caller sees unchanged. Floats compare to a relative 1e-6,
+which is far below what a different channel assignment or crop would
+move them by.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from voicesep import data as dataio
+from voicesep import evalkit, trainer
+from voicesep.model import ModelConfig, init_params
+
+REL = 1e-6
+
+
+def small_model(c, seed=0):
+    return init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
+                                   kernel_len=4, num_speakers=c,
+                                   chunk_len=6), seed=seed)
+
+
+def entries(counts, seed=0, duration=0.5):
+    """One toy mixture per entry of `counts` (its speaker count)."""
+    spks = dataio.make_speakers(6, seed=seed)
+    out = []
+    for i, c in enumerate(counts):
+        picked = [spks[(i + j) % len(spks)] for j in range(c)]
+        srcs = [dataio.synth_utterance(s, duration, seed=[seed, i, j])
+                for j, s in enumerate(picked)]
+        mix = dataio.make_mixture(srcs, [s.id for s in picked],
+                                  seed=[seed, i, 99])
+        out.append(dataio.ManifestEntry(
+            mixture=mix.x, sources=mix.scaled_sources(),
+            speaker_ids=mix.speaker_ids, gains=mix.gains))
+    return out
+
+
+def parse_report(text):
+    """to_text() lines as JSON objects, table lines as plain strings."""
+    rows = []
+    for line in text.splitlines():
+        if line.startswith("{"):
+            rows.append(json.loads(line))
+        elif line.startswith("# aggregate "):
+            rows.append(json.loads(line[len("# aggregate "):]))
+        else:
+            rows.append(line)
+    return rows
+
+
+def assert_close(got, want):
+    """Exact on structure, ints, bools and strings; relative on floats."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=REL, abs=REL)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close(g, w)
+    else:
+        assert got == want
+
+
+def observe_evaluate():
+    models = {2: small_model(2), 3: small_model(3)}
+    # threshold -120 dB accepts every channel: the 3-channel model is
+    # always chosen, so the 2-speaker entries have a superfluous channel
+    report = evalkit.evaluate(entries([2, 3, 2]), None, models=models,
+                              threshold=-120.0)
+    return parse_report(report.to_text())
+
+
+def observe_tta():
+    x = entries([3])[0].mixture
+    sums = {}
+    for c in (2, 3):
+        outs = evalkit.tta_separate(x, small_model(c), k=3, seed=7)
+        sums[c] = [[float(np.sum(ch)), float(np.sum(ch * ch))]
+                   for ch in outs]
+    return sums
+
+
+def observe_train():
+    model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
+                                    kernel_len=4, num_speakers=2,
+                                    chunk_len=6), seed=1)
+    cfg = trainer.TrainConfig(epochs=2, seed=0, segment_s=0.25,
+                              idloss=False)
+    _, logs = trainer.train(model, None, entries([2, 2, 2, 2]), cfg)
+    return [log.train_loss for log in logs]
+
+
+EXPECTED_EVALUATE = [
+    {"index": 0, "perm": [1, 0], "selected_c": 3, "si_snri": -6.702886,
+     "switched": True, "true_c": 2},
+    {"index": 1, "perm": [0, 2, 1], "selected_c": 3, "si_snri": -8.519843,
+     "switched": False, "true_c": 3},
+    {"index": 2, "perm": [0, 1], "selected_c": 3, "si_snri": -9.852159,
+     "switched": False, "true_c": 2},
+    {"count_accuracy": 0.333333, "mean_si_snri": -8.358296,
+     "switch_fraction": 0.333333},
+    "# confusion (%)  selected:      2      3",
+    "# true 2:             0.0  100.0",
+    "# true 3:             0.0  100.0",
+]
+
+# per channel: [sum, sum of squares]
+EXPECTED_TTA = {
+    2: [[2.4360549608136353, 0.03427824729764416],
+        [-8.995783159065923, 0.05560542155674038]],
+    3: [[3.4628132764328257, 0.054264073572990346],
+        [-0.500445307956852, 0.010837760072920826],
+        [-4.507222998405496, 0.07886421743975212]],
+}
+
+EXPECTED_TRAIN = [7.1093714237213135, 6.319709777832031]
+
+
+def test_evaluate_report_unchanged():
+    assert_close(observe_evaluate(), EXPECTED_EVALUATE)
+
+
+def test_tta_outputs_unchanged():
+    assert_close(observe_tta(), EXPECTED_TTA)
+
+
+def test_train_losses_unchanged():
+    assert_close(observe_train(), EXPECTED_TRAIN)

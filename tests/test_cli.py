@@ -61,6 +61,37 @@ def test_separate_roundtrip(tmp_path, corpus, trained):
         assert rate == 8000 and len(ch) == len(entry.mixture)
 
 
+def test_separate_keeps_length_off_the_stride(tmp_path, trained):
+    """4001 samples is no multiple of the stride (2): every channel still
+    has 4001 samples."""
+    x = np.random.default_rng(0).uniform(-0.5, 0.5, 4001)
+    wav = tmp_path / "odd.wav"
+    dataio.wav_write(wav, x)
+    out = tmp_path / "sep"
+    code = main(["separate", "--out", str(out), "--checkpoint",
+                 os.path.join(trained, "best.ckpt"), "--in", str(wav)])
+    assert code == 0
+    for i in (0, 1):
+        ch, rate = dataio.wav_read(out / f"channel{i}.wav")
+        assert rate == 8000 and len(ch) == 4001
+
+
+def test_sample_rate_mismatch_exits_3(tmp_path, trained):
+    """A 16 kHz WAV given to an 8 kHz checkpoint is refused, and no
+    channel file is written."""
+    wav = tmp_path / "wide.wav"
+    dataio.wav_write(wav, np.zeros(4001), 16000)
+    ckpt_path = os.path.join(trained, "best.ckpt")
+    for cmd, extra in (("separate", ["--checkpoint", ckpt_path]),
+                       ("tta", ["--checkpoint", ckpt_path]),
+                       ("select", ["--cascade", f"2={ckpt_path}",
+                                   "--threshold", "-60"])):
+        out = tmp_path / cmd
+        code = main([cmd, "--out", str(out), *extra, "--in", str(wav)])
+        assert code == 3, cmd
+        assert not list(out.glob("channel*.wav")), cmd
+
+
 def test_eval_report(tmp_path, corpus, trained):
     out = tmp_path / "ev"
     code = main(["eval", "--out", str(out), "--checkpoint",

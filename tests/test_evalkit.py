@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from voicesep import data as dataio
-from voicesep import evalkit
+from voicesep import evalkit, losses
 from voicesep.errors import ConfigurationError, DataError, InputError
 from voicesep.model import ModelConfig, init_params
 
@@ -31,8 +31,8 @@ def test_si_snri_hand_case():
     mixture = t + n
     est = t + 0.5 * n  # halves the interference: exactly +6.02 dB
     gain = evalkit.si_snri([t], [est], mixture)
-    direct = (evalkit.si_snr_value(t, est)
-              - evalkit.si_snr_value(t, mixture))
+    direct = (losses.si_snr(t, est).item()
+              - losses.si_snr(t, mixture).item())
     assert gain == pytest.approx(direct)
     assert gain == pytest.approx(20 * np.log10(2), abs=1e-6)
 
@@ -44,6 +44,15 @@ def test_aligned_si_snri_finds_permutation():
     val, perm = evalkit.aligned_si_snri([a, b], [b, a], mixture)
     assert perm == (1, 0)
     assert val > 20.0
+
+
+def test_align_maps_targets_into_more_estimates():
+    rng = np.random.default_rng(11)
+    a, b, c = (rng.standard_normal(1000) for _ in range(3))
+    assign = evalkit.align([a, b], [c, b, a])
+    assert assign.perm == (2, 1)
+    with pytest.raises(InputError):
+        evalkit.align([a, b, c], [a, b])
 
 
 def test_si_snri_length_mismatch():
@@ -181,13 +190,6 @@ def disjoint_band_mixture(seed=0, n=8000):
     return lo, hi
 
 
-def test_irm_masks_sum_to_one():
-    lo, hi = disjoint_band_mixture()
-    masks = evalkit.irm_masks(lo + hi, [lo, hi])
-    total = masks[0] + masks[1]
-    assert np.max(np.abs(total - 1.0)) <= 1e-6
-
-
 def test_ibm_oracle_disjoint_bands():
     lo, hi = disjoint_band_mixture()
     x = lo + hi
@@ -247,3 +249,13 @@ def test_evaluate_with_cascade_superfluous_channels():
     s = report.samples[0]
     assert s.selected_c == 3 and s.true_c == 2
     assert len(set(s.perm)) == 2  # two distinct channels kept
+
+
+def test_evaluate_too_few_channels_raises():
+    rng = np.random.default_rng(12)
+    srcs = [rng.standard_normal(4000) for _ in range(3)]
+    entries = [dataio.ManifestEntry(
+        mixture=sum(srcs).astype(np.float32), sources=srcs,
+        speaker_ids=["x", "y", "z"], gains=[1.0, 1.0, 1.0])]
+    with pytest.raises(InputError):
+        evalkit.evaluate(entries, small_model(2))

@@ -1,4 +1,5 @@
-"""SI-SNR hand values, invariances, assignment cross-checks, loss wiring."""
+"""SI-SNR hand values, invariances, assignment cross-checks against a
+brute-force search, loss wiring."""
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ def test_pairwise_matrix_matches_direct_calls():
             assert mat[i, j] == losses.si_snr(s[i], est[j]).item()
 
 
+def test_pairwise_matrix_rectangular():
+    rng = np.random.default_rng(13)
+    s = [rng.standard_normal(200) for _ in range(2)]
+    est = [rng.standard_normal(200) for _ in range(3)]
+    assert losses.pairwise_matrix(s, est).shape == (2, 3)
+    with pytest.raises(InputError):
+        losses.pairwise_matrix(est, s)
+
+
 def test_pairwise_matrix_identity_diagonal_dominates():
     rng = np.random.default_rng(4)
     s = [rng.standard_normal(100) for _ in range(3)]
@@ -99,21 +109,73 @@ def test_upit_invariant_to_estimate_shuffle():
 
 
 def test_upit_matches_linear_sum_assignment():
-    """Brute force against an independent assignment algorithm on 50
-    random 4x4 score matrices: same argmax and value."""
+    """upit's loss is minus the optimal mean of the pairwise SI-SNR
+    matrix, as scipy's solver finds it on 20 random 4-channel sets."""
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        mat = rng.standard_normal((4, 4)) * 10
-        perm = losses.best_permutation(mat)
+    for _ in range(20):
+        s = [rng.standard_normal(100) for _ in range(4)]
+        est = [rng.standard_normal(100) for _ in range(4)]
+        mat = losses.pairwise_matrix(s, est)
         rows, cols = linear_sum_assignment(-mat)
-        assert mat[np.arange(4), list(perm)].sum() == pytest.approx(
-            mat[rows, cols].sum(), abs=1e-9)
+        loss, assign = losses.upit(s, est)
+        assert assign.perm == tuple(cols)
+        assert loss.item() == pytest.approx(-mat[rows, cols].mean(),
+                                            abs=1e-9)
 
 
-def test_upit_refuses_large_c():
-    s = [np.ones(10) for _ in range(9)]
+def test_upit_recovers_planted_shuffle_at_c9():
+    rng = np.random.default_rng(14)
+    s = [rng.standard_normal(200) for _ in range(9)]
+    shuffle = tuple(int(j) for j in rng.permutation(9))
+    est = [None] * 9
+    for i, j in enumerate(shuffle):
+        est[j] = s[i] + 0.1 * rng.standard_normal(200)
+    loss, assign = losses.upit(s, est)
+    assert assign.perm == shuffle
+    assert loss.item() < -10.0
+
+
+def brute_force(mat):
+    """Reference solver: every injection of rows into columns, visited in
+    lexicographic order; the first maximum wins."""
+    rows, cols = mat.shape
+    best, best_val = None, -np.inf
+    for perm in permutations(range(cols), rows):
+        val = sum(mat[i, perm[i]] for i in range(rows))
+        if val > best_val:
+            best, best_val = perm, val
+    return best, best_val
+
+
+SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
+          (1, 4), (2, 3), (3, 5), (4, 6), (5, 6)]
+
+
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_best_permutation_matches_brute_force(rows, cols):
+    rng = np.random.default_rng(100 + 10 * rows + cols)
+    for _ in range(20):
+        mat = rng.standard_normal((rows, cols)) * 10
+        perm = losses.best_permutation(mat)
+        assert perm == brute_force(mat)[0]
+        assert all(type(j) is int for j in perm)
+
+
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_best_permutation_optimal_under_ties(rows, cols):
+    """Integer scores full of ties: any optimal injection will do."""
+    rng = np.random.default_rng(200 + 10 * rows + cols)
+    for _ in range(20):
+        mat = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+        perm = losses.best_permutation(mat)
+        assert len(set(perm)) == rows and set(perm) <= set(range(cols))
+        assert (sum(mat[i, perm[i]] for i in range(rows))
+                == brute_force(mat)[1])
+
+
+def test_best_permutation_needs_rows_le_cols():
     with pytest.raises(InputError):
-        losses.upit(s, s)
+        losses.best_permutation(np.zeros((3, 2)))
 
 
 def test_best_permutation_lexicographic_tiebreak():

@@ -73,6 +73,18 @@ def test_separate_matches_final_group():
         np.testing.assert_array_equal(a, b.data)
 
 
+def test_separate_keeps_any_length():
+    """4001 samples is no multiple of the stride (4): the input is
+    zero-padded to 4004 and every channel cropped back to 4001."""
+    m = small_model()
+    x = np.random.default_rng(5).standard_normal(4001).astype(np.float32)
+    outs = separate(m, x)
+    assert [o.shape for o in outs] == [(4001,), (4001,)]
+    padded = separate(m, np.pad(x, (0, 3)))
+    for a, b in zip(outs, padded):
+        np.testing.assert_array_equal(a, b[:4001])
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
 def test_separate_rejects_non_finite_input(bad):

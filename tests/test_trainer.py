@@ -146,6 +146,24 @@ def test_validate_is_pure():
         np.testing.assert_array_equal(t.data, b)
 
 
+def test_crop_length_rounds_down_to_stride():
+    """0.2501 s at 8 kHz is 2001 samples; the crop takes 2000, a
+    multiple of the stride 2, and the epoch completes."""
+    model = init_params(SMALL, seed=0)
+    _, logs = trainer.train(model, None, tiny_entries(n=2),
+                            small_cfg(epochs=1, segment_s=0.2501))
+    assert len(logs) == 1 and np.isfinite(logs[0].train_loss)
+
+
+def test_validate_accepts_length_off_the_stride():
+    entry = tiny_entries(n=1)[0]
+    odd = dataio.ManifestEntry(
+        mixture=entry.mixture[:3999],
+        sources=[s[:3999] for s in entry.sources],
+        speaker_ids=entry.speaker_ids, gains=entry.gains)
+    assert np.isfinite(trainer.validate(init_params(SMALL, seed=0), [odd]))
+
+
 def test_crop_starts_on_encoder_stride():
     entry = dataio.ManifestEntry(mixture=np.arange(4000.0),
                                  sources=[np.arange(4000.0)] * 2,
