@@ -12,6 +12,7 @@ Training runs in float32; gradient checking runs the same graph in float64
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -104,12 +105,13 @@ class Tape:
         self._nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        stack = _TAPE_STACK.get()
+        assert stack[-1] is self
+        _TAPE_STACK.set(stack[:-1])
         return False
 
     def __len__(self):
@@ -144,11 +146,16 @@ class Tape:
         self._nodes.clear()
 
 
-_TAPE_STACK: list[Tape] = []
+# The tapes entered in this thread (or asyncio task), innermost last. A
+# context variable, so that concurrent forward passes each record onto
+# their own tape; a tuple, so that a copied context shares no list.
+_TAPE_STACK: contextvars.ContextVar[tuple] = contextvars.ContextVar(
+    "voicesep_tape_stack", default=())
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPE_STACK.get()
+    return stack[-1] if stack else None
 
 
 def _finish(out: Tensor, inputs: Sequence[Tensor],
@@ -747,6 +754,11 @@ def avgpool2d(x: Tensor, size: int = 2) -> Tensor:
 # Recurrent cell
 # ---------------------------------------------------------------------------
 
+# Time steps per block of the BiLSTM input projection. At least 2, so a
+# block is a single-row product only when the whole input is one row.
+_PROJ_BLOCK = 8
+
+
 class LSTMParams(NamedTuple):
     """Fused bidirectional LSTM parameters.
 
@@ -783,10 +795,14 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
     stacked batch, so each step is a handful of large numpy calls -- this
     loop is the hot path of training and inference.
 
-    Layout: one (S*B, F) @ (F, D*4H) product projects the time-major input
-    for every direction at once; a reverse direction reads it at step
-    S-1-t. Per-step buffers are time-major, (S, D, B, .), so step t is a
-    contiguous slice, and the gate math runs in place.
+    Layout: the input is projected outside the step loop, but one block
+    of _PROJ_BLOCK steps at a time, into one (2, block*B, sets*4H) buffer
+    that the whole call reuses: a (block*B, F) @ (F, sets*4H) product
+    over the time-major input rows [t0, t0+block) for the forward
+    directions, and one over the mirrored rows [S-t0-block, S-t0) for
+    the reverse ones, which read input row S-1-t at step t. Per-step
+    buffers are time-major, (S, D, B, .), so step t is a contiguous
+    slice, and the gate math runs in place.
 
     Without a recording tape (or when nothing requires grad) the loop
     keeps only h, c and the hidden states it returns. Under a tape it also
@@ -824,10 +840,15 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
         for p in param_sets)
     keep = tape is not None and needs
 
-    proj = xd.transpose(1, 0, 2).reshape(S * B, F) @ \
-        wxs.transpose(1, 0, 2).reshape(F, D * G)
-    proj += bs.reshape(D * G)
-    proj = proj.reshape(S, B, D, G)
+    # time-major input rows (a copy unless B == 1); forward and reverse
+    # directions project through their own (F, sets * 4H) weights
+    xt = xd.transpose(1, 0, 2).reshape(S * B, F)
+    wp = wxs.reshape(n_sets, 2, F, G).transpose(1, 2, 0, 3).reshape(
+        2, F, n_sets * G)
+    bp = bs.reshape(n_sets, 2, G).transpose(1, 0, 2).reshape(2, n_sets * G)
+    nb = min(_PROJ_BLOCK, S)
+    pbuf = np.empty((2, nb * B, n_sets * G), dtype=dt)
+    proj = pbuf.reshape(2, nb, B, n_sets, G)
 
     hs = np.empty((S, D, B, H), dtype=dt)
     if keep:
@@ -839,10 +860,20 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
     c = np.zeros((D, B, H), dtype=dt)
     tmp = np.empty((D, B, H), dtype=dt)
     for t in range(S):
+        if t % nb == 0:
+            # Every block has nb steps, so the last one may overlap the one
+            # before: with B = 1 a one-step tail would be a single-row
+            # product, which numpy hands to gemv, whose sums differ from
+            # gemm's in the last bits.
+            t0 = min(t, S - nb)
+            np.matmul(xt[t0 * B:(t0 + nb) * B], wp[0], out=pbuf[0])
+            np.matmul(xt[(S - t0 - nb) * B:(S - t0) * B], wp[1],
+                      out=pbuf[1])
+            pbuf += bp[:, None]
         gt = gates[t] if keep else z
         np.matmul(h, whs, out=gt)
-        gt[0::2] += proj[t, :, 0::2].transpose(1, 0, 2)
-        gt[1::2] += proj[S - 1 - t, :, 1::2].transpose(1, 0, 2)
+        gt[0::2] += proj[0, t - t0].transpose(1, 0, 2)
+        gt[1::2] += proj[1, t0 + nb - 1 - t].transpose(1, 0, 2)
         # sigmoid(v) = 0.5*tanh(v/2)+0.5 on the three sigmoid gates, so
         # one tanh call activates all four
         sig = gt[..., :H3]
@@ -857,7 +888,7 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
         c = cn
         np.tanh(c, out=tmp)
         h = np.multiply(gt[..., 2 * H:H3], tmp, out=hs[t])
-    del proj  # freed before the outputs are allocated
+    del xt, pbuf, proj  # freed before the outputs are allocated
 
     ods = []
     for s in range(n_sets):

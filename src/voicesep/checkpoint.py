@@ -102,6 +102,9 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"{path}: array {name!r} truncated at byte {off}")
         arr = np.frombuffer(blob[off:off + nbytes], dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(
+                f"{path}: array {name!r} holds non-finite values")
         arrays[name] = arr.reshape(dims).copy()
         off += nbytes
     if off != len(blob):

@@ -60,10 +60,12 @@ class EpochLog:
 
 def _crop(entry, seg_len: int, stride: int, rng) -> tuple:
     """Random training crop of a manifest entry (mixture + sources) that
-    starts on a multiple of the encoder stride."""
+    starts on a multiple of the encoder stride. An entry no longer than
+    the crop is used whole, rounded down to the stride."""
     n = len(entry.mixture)
     if n <= seg_len:
-        return entry.mixture, entry.sources
+        n -= n % stride
+        return entry.mixture[:n], [s[:n] for s in entry.sources]
     off = int(rng.integers(n - seg_len + 1))
     off -= off % stride
     sl = slice(off, off + seg_len)

@@ -1,5 +1,8 @@
 """Gradient checks for every op, plus tape/shape/dtype behavior."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -304,6 +307,44 @@ def test_no_tape_records_nothing():
     x = t64((3,))
     y = ad.mul(x, x)
     assert y._tape is None and y.requires_grad
+
+
+def test_threads_record_onto_their_own_tapes():
+    """Two threads inside their own tapes at once, switching often: each
+    tape holds exactly the nodes its own thread produced."""
+    barrier = threading.Barrier(2, timeout=10)
+    tapes, produced, errors = {}, {}, []
+
+    def work(name):
+        try:
+            x = t64((4,))
+            outs = []
+            with ad.Tape() as tape:
+                barrier.wait()  # both tapes are now entered
+                for _ in range(300):
+                    outs.append(ad.mul(x, x))
+                barrier.wait()  # neither exits before both are done
+            tapes[name], produced[name] = tape, outs
+        except Exception as e:  # surfaced by the assert below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in "ab"]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for name in "ab":
+        recorded = [node.out for node in tapes[name]._nodes]
+        assert len(recorded) == 300
+        assert all(r is o for r, o in zip(recorded, produced[name]))
+    assert ad.active_tape() is None
 
 
 def test_float32_ops_stay_float32():

@@ -1,10 +1,12 @@
 """Behaviour lock: fixed-seed outputs of the public scoring, test-time
-augmentation and training paths, recorded as literals.
+augmentation, inference and training paths, recorded as literals.
 
 The literals were recorded before the assignment search moved from
 brute-force permutation loops to `linear_sum_assignment` and before the
-chunk geometry was fixed at hop K/2. Matching them shows those changes
-left what a caller sees unchanged. Floats compare to a relative 1e-6,
+chunk geometry was fixed at hop K/2; the `separate` checksums before the
+BiLSTM input projection was computed one block of time steps at a time.
+Matching them shows those changes left what a caller sees unchanged.
+Floats compare to a relative 1e-6,
 which is far below what a different channel assignment or crop would
 move them by.
 """
@@ -16,7 +18,7 @@ import pytest
 
 from voicesep import data as dataio
 from voicesep import evalkit, trainer
-from voicesep.model import ModelConfig, init_params
+from voicesep.model import ModelConfig, init_params, separate
 
 REL = 1e-6
 
@@ -91,6 +93,14 @@ def observe_tta():
     return sums
 
 
+def observe_separate():
+    """separate() at the default (paper) config on a 2 s mixture, whose
+    sequences span several time blocks of the BiLSTM input projection."""
+    x = entries([2], duration=2.0)[0].mixture
+    outs = separate(init_params(ModelConfig(), seed=0), x)
+    return [[float(np.sum(ch)), float(np.sum(ch * ch))] for ch in outs]
+
+
 def observe_train():
     model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
                                     kernel_len=4, num_speakers=2,
@@ -124,6 +134,11 @@ EXPECTED_TTA = {
         [-4.507222998405496, 0.07886421743975212]],
 }
 
+# per channel: [sum, sum of squares]; the squares are near 1e-5, below
+# assert_close's absolute floor, so this compares relatively only
+EXPECTED_SEPARATE = [[0.02113557979464531, 2.7905944079975598e-05],
+                     [-0.07636609673500061, 1.0650479453033768e-05]]
+
 EXPECTED_TRAIN = [7.1093714237213135, 6.319709777832031]
 
 
@@ -137,3 +152,10 @@ def test_tta_outputs_unchanged():
 
 def test_train_losses_unchanged():
     assert_close(observe_train(), EXPECTED_TRAIN)
+
+
+def test_separate_outputs_unchanged():
+    got = observe_separate()
+    assert np.shape(got) == np.shape(EXPECTED_SEPARATE)
+    for g, w in zip(np.ravel(got), np.ravel(EXPECTED_SEPARATE)):
+        assert g == pytest.approx(w, rel=REL, abs=0.0)

@@ -222,6 +222,25 @@ def test_bit_identical_single_set_and_partial_use(shape):
     assert all(np.all(g == 0) for g in new[1][1:4])
 
 
+# (B, S, F, H) around the time blocks of the input projection: S one step
+# past two blocks, S shorter than one block, and a single step. Unbatched,
+# B = 1, so a block of one step would be a single-row product.
+BLOCK = ad._PROJ_BLOCK
+EDGE_SHAPES = {"tail": (3, 2 * BLOCK + 1, 128, 128),
+               "short": (3, BLOCK // 2 + 1, 128, 128),
+               "one_step": (3, 1, 128, 128)}
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES.values(),
+                         ids=EDGE_SHAPES.keys())
+@pytest.mark.parametrize("batched", [True, False], ids=["BSF", "SF"])
+@pytest.mark.parametrize("tape", [False, True], ids=["no_tape", "tape"])
+def test_bit_identical_across_time_blocks(shape, batched, tape):
+    case = make_case(shape, n_sets=2, batched=batched, seed=3)
+    assert_same(run(ad.bilstm_bank, case, tape),
+                run(reference_bilstm_bank, case, tape))
+
+
 def test_tape_without_grads_records_nothing():
     case = make_case(SHAPES["small"], n_sets=2, batched=True)
     with ad.Tape() as tape:
@@ -273,16 +292,23 @@ def mem_case():
              "outs": 2 * B * S * 2 * H * item,
              "gates": S * D * B * 4 * H * item,
              "cs": S * D * B * H * item,
+             "hs": S * D * B * H * item,
+             "x_time_major": S * B * F * item,
              "input_copy": D * B * S * F * item,
              "tanh_c": D * B * S * H * item}
     assert SLACK < min(sizes["input_copy"], sizes["tanh_c"])
     return x, sets, sizes
 
 
-def test_no_tape_call_peaks_at_projection_plus_outputs():
+def test_no_tape_call_peaks_below_outputs_plus_staging():
+    """No (S, B, D, 4H) projection: the input is projected one block of
+    steps at a time, so the peak is the outputs, the hidden-state staging
+    and one time-major input copy."""
     x, sets, sizes = mem_case()
     _, _, peak = traced_call(lambda: ad.bilstm_bank(x, sets))
-    assert sizes["proj"] <= peak < sizes["proj"] + sizes["outs"] + SLACK
+    bound = sizes["outs"] + sizes["hs"] + sizes["x_time_major"] + SLACK
+    assert bound < sizes["proj"]
+    assert sizes["outs"] + sizes["hs"] <= peak < bound
 
 
 def test_taped_call_holds_no_input_copy_or_tanh_c():

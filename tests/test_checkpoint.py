@@ -135,3 +135,13 @@ def test_unexpected_parameter_name(tmp_path):
     ckpt.save_checkpoint(p, "separator", model.config.to_dict(), 0, 0, arrays)
     with pytest.raises(CheckpointError, match="do not match"):
         ckpt.load_separator(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_array_rejected(tmp_path, bad):
+    model = init_params(SMALL, seed=0)
+    model.params["decoder.b"].data[0] = bad
+    p = tmp_path / "m.ckpt"
+    ckpt.save_separator(p, model, seed=0, step=0)
+    with pytest.raises(CheckpointError, match="'decoder.b'.*non-finite"):
+        ckpt.load_separator(p)

@@ -183,6 +183,20 @@ def test_exit_code_checkpoint_error(tmp_path):
     assert code == 4
 
 
+def test_exit_code_non_finite_checkpoint(tmp_path):
+    model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
+                                    kernel_len=4, chunk_len=6), seed=0)
+    model.params["decoder.b"].data[0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    ckpt.save_separator(bad, model, seed=0, step=0)
+    wav = tmp_path / "x.wav"
+    dataio.wav_write(wav, np.zeros(400))
+    code = main(["separate", "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(bad), "--in", str(wav)])
+    assert code == 4
+    assert not (tmp_path / "o" / "channel0.wav").exists()
+
+
 def test_exit_code_numeric_error(tmp_path, trained, monkeypatch):
     # PCM16 cannot hold NaN, so the reader hands one over directly
     def nan_read(path):

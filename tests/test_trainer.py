@@ -155,6 +155,23 @@ def test_crop_length_rounds_down_to_stride():
     assert len(logs) == 1 and np.isfinite(logs[0].train_loss)
 
 
+def test_short_entry_rounds_down_to_stride():
+    """A 4001-sample entry is shorter than a 4 s crop: it is used whole
+    but for its last sample, so its length is a multiple of the stride 2,
+    and the epoch completes."""
+    longer = [dataio.ManifestEntry(
+        mixture=np.concatenate([e.mixture, e.mixture[:1]]),
+        sources=[np.concatenate([s, s[:1]]) for s in e.sources],
+        speaker_ids=e.speaker_ids, gains=e.gains)
+        for e in tiny_entries(n=2)]
+    mix, srcs = trainer._crop(longer[0], 32000, 2, np.random.default_rng(0))
+    assert len(mix) == 4000 and [len(s) for s in srcs] == [4000, 4000]
+    model = init_params(SMALL, seed=0)
+    _, logs = trainer.train(model, None, longer,
+                            small_cfg(epochs=1, segment_s=4.0))
+    assert len(logs) == 1 and np.isfinite(logs[0].train_loss)
+
+
 def test_validate_accepts_length_off_the_stride():
     entry = tiny_entries(n=1)[0]
     odd = dataio.ManifestEntry(
