@@ -340,14 +340,6 @@ def row_scale(x: Tensor, c: np.ndarray) -> Tensor:
 # Reductions
 # ---------------------------------------------------------------------------
 
-def tsum(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(np.sum(x.data)).reshape(()))
-
-    def backward(g):
-        x.accumulate_grad(np.full_like(x.data, g.reshape(())))
-    return _finish(out, (x,), backward)
-
-
 def tmean(x: Tensor) -> Tensor:
     n = x.data.size
     out = Tensor(np.asarray(np.sum(x.data) / n).reshape(()))
@@ -764,9 +756,11 @@ class LSTMParams(NamedTuple):
 
     Leading axis 0/1 = forward/backward direction; gate order along the
     last axis is input, forget, output, cell candidate (the three sigmoid
-    gates first so they activate in one fused call). bilstm_bank stacks
-    the directions of several sets along one axis D = 2 * sets, forward
-    and backward interleaved, so direction d of set s sits at 2 * s + d.
+    gates first so they activate in one fused call). bilstm_bank takes
+    one set, or two whose outputs it multiplies (the MulCat gate), and
+    stacks their directions along one axis D = 2 * sets, forward and
+    backward interleaved, so direction d of set s sits at 2 * s + d. Its
+    input is always batched: (B, S, F).
     """
     wx: Tensor  # (2, F, 4H)
     wh: Tensor  # (2, H, 4H)
@@ -776,24 +770,28 @@ class LSTMParams(NamedTuple):
 def _check_lstm_params(params: LSTMParams):
     wx, wh, b = params
     if wx.data.ndim != 3 or wx.data.shape[0] != 2:
-        raise ConfigurationError("bilstm: wx must have shape (2, F, 4H)")
+        raise ConfigurationError(
+            "bilstm_bank: wx must have shape (2, F, 4H)")
     F, H4 = wx.data.shape[1], wx.data.shape[2]
     H = H4 // 4
     if H <= 0 or H4 != 4 * H:
-        raise ConfigurationError("bilstm: hidden width must be positive")
+        raise ConfigurationError(
+            "bilstm_bank: hidden width must be positive")
     if wh.data.shape != (2, H, 4 * H) or b.data.shape != (2, 4 * H):
-        raise ConfigurationError("bilstm: parameter shapes inconsistent")
+        raise ConfigurationError(
+            "bilstm_bank: parameter shapes inconsistent")
     return F, H
 
 
-def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
-    """Run several bidirectional LSTMs over the same input in one fused
-    recurrence.
+def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
+    """The MulCat gate: run one or two bidirectional LSTMs over the same
+    input in one fused recurrence.
 
-    x: (S, F) or (B, S, F). Returns one (B, S, 2H) (or (S, 2H)) tensor per
-    parameter set. All D = 2 * sets directions advance together as one
-    stacked batch, so each step is a handful of large numpy calls -- this
-    loop is the hot path of training and inference.
+    x: (B, S, F). Returns one (B, S, 2H) tensor: the output of the one
+    parameter set (the "-gating" ablation), or the elementwise product of
+    the outputs of the two. All D = 2 * sets directions advance together
+    as one stacked batch, so each step is a handful of large numpy calls
+    -- this loop is the hot path of training and inference.
 
     Layout: the input is projected outside the step loop, but one block
     of _PROJ_BLOCK steps at a time, into one (2, block*B, sets*4H) buffer
@@ -807,26 +805,27 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
     Without a recording tape (or when nothing requires grad) the loop
     keeps only h, c and the hidden states it returns. Under a tape it also
     saves the activated gates (S, D, B, 4H) and the cell states
-    (S, D, B, H); backward recomputes tanh(c) from them, re-reads x for the
-    input-weight gradient and the outputs for the hidden-weight gradient.
+    (S, D, B, H), and keeps each set's output; backward recomputes tanh(c)
+    from them, re-reads x for the input-weight gradient and the set
+    outputs for the hidden-weight gradient.
     """
-    if not param_sets:
-        raise ConfigurationError("bilstm_bank: no parameter sets")
+    if len(param_sets) not in (1, 2):
+        raise ConfigurationError("bilstm_bank: expected 1 or 2 parameter "
+                                 f"sets, got {len(param_sets)}")
     dims = [_check_lstm_params(p) for p in param_sets]
     F, H = dims[0]
     if any(d != (F, H) for d in dims):
         raise ConfigurationError("bilstm_bank: parameter sets disagree on "
                                  "feature or hidden width")
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 3 or xd.shape[2] != F:
         raise ConfigurationError(
-            f"bilstm: input feature width {xd.shape[-1]} != {F}")
+            f"bilstm_bank: input shape {xd.shape} is not (B, S, {F})")
     B, S, _ = xd.shape
     dt = x.data.dtype
     for p in param_sets:
         if p.wx.data.dtype != dt:
-            raise UsageError("bilstm: mixed dtypes between input and "
+            raise UsageError("bilstm_bank: mixed dtypes between input and "
                              "parameters")
     n_sets = len(param_sets)
     D = 2 * n_sets  # sets x directions
@@ -834,11 +833,8 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
     wxs = np.concatenate([p.wx.data for p in param_sets])  # (D, F, 4H)
     whs = np.concatenate([p.wh.data for p in param_sets])
     bs = np.concatenate([p.b.data for p in param_sets])
-    tape = active_tape()
-    needs = x.requires_grad or any(
-        p.wx.requires_grad or p.wh.requires_grad or p.b.requires_grad
-        for p in param_sets)
-    keep = tape is not None and needs
+    inputs = (x,) + tuple(t for p in param_sets for t in p)
+    keep = active_tape() is not None and any(t.requires_grad for t in inputs)
 
     # time-major input rows (a copy unless B == 1); forward and reverse
     # directions project through their own (F, sets * 4H) weights
@@ -896,18 +892,17 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
         od[..., :H] = hs[:, 2 * s].transpose(1, 0, 2)
         od[..., H:] = hs[::-1, 2 * s + 1].transpose(1, 0, 2)
         ods.append(od)
-    outs = [Tensor(od[0] if squeeze else od) for od in ods]
-    for o in outs:
-        o.requires_grad = needs
-    if not keep:
-        return outs
+    # h is a view into hs: both go before the gated product is allocated
+    del hs, h
+    out = Tensor(ods[0] if n_sets == 1 else ods[0] * ods[1])
 
-    def make_backward(out_grads: list):
+    def backward(g):
+        # the grads of the set outputs: through the product, as mul's
         gst = np.empty((S, D, B, H), dtype=dt)
-        for s, g in enumerate(out_grads):
-            g3 = g[None] if squeeze else g
-            gst[:, 2 * s] = g3[..., :H].transpose(1, 0, 2)
-            gst[:, 2 * s + 1] = g3[:, ::-1, H:].transpose(1, 0, 2)
+        for s, gs in enumerate([g] if n_sets == 1 else
+                               [g * ods[1], g * ods[0]]):
+            gst[:, 2 * s] = gs[..., :H].transpose(1, 0, 2)
+            gst[:, 2 * s + 1] = gs[:, ::-1, H:].transpose(1, 0, 2)
         # dZ stays (D, B, S, 4H): the weight-gradient products below then
         # reduce over (B, S) rows in batch-major order
         dZ = np.empty((D, B, S, G), dtype=dt)
@@ -975,38 +970,8 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> list:
         if x.requires_grad:
             dX = np.matmul(dZ2, wxs.transpose(0, 2, 1)).reshape(D, B, S, F)
             dx = dX[0::2].sum(axis=0) + dX[1::2, :, ::-1].sum(axis=0)
-            x.accumulate_grad(dx[0] if squeeze else dx)
-
-    # Several tape outputs share one recurrence, so grads are buffered as
-    # the reverse sweep delivers them and the fused BPTT runs once, from an
-    # anchor node recorded *before* the outputs (reverse order visits it
-    # after all of them). Outputs the loss never reached contribute zeros.
-    pending: dict[int, np.ndarray] = {}
-    anchor = Tensor(np.zeros((), dtype=dt))
-    anchor.requires_grad = True
-
-    def anchor_backward(_g):
-        zero_shape = (S, 2 * H) if squeeze else (B, S, 2 * H)
-        make_backward([pending.get(i, np.zeros(zero_shape, dtype=dt))
-                       for i in range(n_sets)])
-        pending.clear()
-
-    tape.record(anchor, anchor_backward)
-    for idx, o in enumerate(outs):
-        def buffer_backward(g, idx=idx):
-            pending[idx] = g
-            anchor.grad = np.ones((), dtype=dt)
-        tape.record(o, buffer_backward)
-    return outs
-
-
-def bilstm(x: Tensor, params: LSTMParams) -> Tensor:
-    """Bidirectional LSTM over (S, F) or batched (B, S, F) sequences.
-
-    Returns the per-step concatenation of the forward and backward hidden
-    states: (..., S, 2H).
-    """
-    return bilstm_bank(x, [params])[0]
+            x.accumulate_grad(dx)
+    return _finish(out, inputs, backward)
 
 
 # ---------------------------------------------------------------------------

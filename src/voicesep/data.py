@@ -296,8 +296,18 @@ class ManifestEntry:
     gains: list
 
 
+def _read_at_sample_rate(path) -> np.ndarray:
+    x, rate = wav_read(path)
+    if rate != SAMPLE_RATE:
+        raise DataError(f"{path}: sample rate {rate} Hz, manifests hold "
+                        f"{SAMPLE_RATE} Hz audio")
+    return x
+
+
 def load_manifest(path, root=None) -> list[ManifestEntry]:
-    """Load every entry of a JSONL manifest into memory."""
+    """Load every entry of a JSONL manifest into memory. Raises DataError
+    when a mixture or source WAV is not at SAMPLE_RATE, the only rate
+    build_corpus writes."""
     root = root or os.path.dirname(os.path.abspath(path))
     entries = []
     try:
@@ -312,8 +322,9 @@ def load_manifest(path, root=None) -> list[ManifestEntry]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}:{ln}: bad manifest record: {e}") from e
-        x, _ = wav_read(os.path.join(root, rec["mixture"]))
-        raws = [wav_read(os.path.join(root, p))[0] for p in rec["sources"]]
+        x = _read_at_sample_rate(os.path.join(root, rec["mixture"]))
+        raws = [_read_at_sample_rate(os.path.join(root, p))
+                for p in rec["sources"]]
         scaled = [g * s for g, s in zip(rec["gains"], raws)]
         entries.append(ManifestEntry(mixture=x, sources=scaled,
                                      speaker_ids=rec["speakers"],

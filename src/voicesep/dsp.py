@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, DimensionError, InputError
+from .errors import ConfigurationError, InputError
 
 
 # ---------------------------------------------------------------------------
@@ -27,11 +27,9 @@ from .errors import ConfigurationError, DimensionError, InputError
 
 @dataclass
 class ChunkTensor:
-    """Overlapping chunks of a latent sequence plus un-chunking metadata."""
+    """Overlapping chunks of a latent sequence plus the original latent
+    length; the chunk geometry follows from the data's shape."""
     data: Tensor          # (R, K, N) or (R, K)
-    k: int                # chunk length, even
-    pad_front: int
-    pad_back: int
     t_latent: int         # original latent length T'
 
     @property
@@ -39,20 +37,24 @@ class ChunkTensor:
         return self.data.shape[0]
 
     @property
+    def k(self) -> int:
+        """Chunk length, even."""
+        return self.data.shape[1]
+
+    @property
     def hop(self) -> int:
         """Hop between chunk starts: always K/2 (50% overlap)."""
         return self.k // 2
 
-    def validate(self) -> None:
-        if self.data.shape[1] != self.k:
-            raise DimensionError(
-                f"ChunkTensor: data axis 1 is {self.data.shape[1]}, "
-                f"expected K={self.k}")
-        padded = self.pad_front + self.t_latent + self.pad_back
-        if (self.r - 1) * self.hop + self.k != padded:
-            raise DimensionError(
-                "ChunkTensor: padding metadata inconsistent with R="
-                f"{self.r}, K={self.k}, hop={self.hop}")
+    @property
+    def pad_front(self) -> int:
+        """One hop, so the first latent frame is covered twice."""
+        return self.hop
+
+    @property
+    def pad_back(self) -> int:
+        """Back padding that makes the padded length (R + 1) hops."""
+        return self.r * self.hop - self.t_latent
 
 
 def chunk_count(t_latent: int, k: int) -> int:
@@ -81,8 +83,7 @@ def chunk(z: Tensor, k: int) -> ChunkTensor:
     hop = k // 2
     pad_back = chunk_count(t_latent, k) * hop - t_latent
     data = ad.chunk_rows(ad.pad_rows(z, hop, pad_back), k)
-    return ChunkTensor(data=data, k=k, pad_front=hop, pad_back=pad_back,
-                       t_latent=t_latent)
+    return ChunkTensor(data=data, t_latent=t_latent)
 
 
 def coverage(ct: ChunkTensor) -> np.ndarray:
@@ -96,7 +97,6 @@ def coverage(ct: ChunkTensor) -> np.ndarray:
 def overlap_add(ct: ChunkTensor) -> Tensor:
     """Invert chunk(): sum chunks at their offsets, divide out coverage,
     strip the padding. Exact inverse of chunk() by construction."""
-    ct.validate()
     padded = ct.pad_front + ct.t_latent + ct.pad_back
     summed = ad.ola_rows(ct.data, padded)
     normed = ad.row_scale(summed, 1.0 / coverage(ct))

@@ -1,11 +1,13 @@
 """The gated dual-path separator: encoder, MulCat blocks, decoding heads.
 
-A MulCat block runs two bidirectional LSTMs over the same sequence,
-multiplies their outputs elementwise, concatenates the block input (the
-skip path), and projects back to the feature width. Odd blocks recur along
-the chunk index axis (long-term, length R), even blocks along the
-intra-chunk axis (short-term, length K). After every even block, a shared
-PReLU + 1x1 decoder produces one group of C candidate waveforms.
+A MulCat block runs two bidirectional LSTMs over the same sequence and
+multiplies their outputs elementwise, one fused op (autodiff.bilstm_bank;
+the "-gating" ablation keeps one LSTM and no product). It concatenates
+the block input (the skip path) and projects back to the feature width.
+Odd blocks recur along the chunk index axis (long-term, length R), even
+blocks along the intra-chunk axis (short-term, length K). After every
+even block, a shared PReLU + 1x1 decoder produces one group of C
+candidate waveforms.
 """
 
 from __future__ import annotations
@@ -155,12 +157,9 @@ def mulcat_block(model: SeparatorModel, ct: dsp.ChunkTensor,
     v = ct.data  # (R, K, N)
     along_r = index % 2 == 1
     seqs = ad.transpose(v, (1, 0, 2)) if along_r else v  # (B, S, N)
-    if model.config.gating:
-        out1, out2 = ad.bilstm_bank(
-            seqs, [model.lstm_params(index, 1), model.lstm_params(index, 2)])
-        gated = ad.mul(out1, out2)
-    else:
-        gated = ad.bilstm(seqs, model.lstm_params(index, 1))
+    n_lstms = 2 if model.config.gating else 1
+    gated = ad.bilstm_bank(seqs, [model.lstm_params(index, j)
+                                  for j in range(1, n_lstms + 1)])
     cat = ad.concat([gated, seqs], axis=2)  # (B, S, 2H + N)
     proj = ad.linear(cat, model.params[f"block{index}.proj.w"],
                      model.params[f"block{index}.proj.b"])

@@ -6,9 +6,8 @@ brute-force permutation loops to `linear_sum_assignment` and before the
 chunk geometry was fixed at hop K/2; the `separate` checksums before the
 BiLSTM input projection was computed one block of time steps at a time.
 Matching them shows those changes left what a caller sees unchanged.
-Floats compare to a relative 1e-6,
-which is far below what a different channel assignment or crop would
-move them by.
+Floats compare to a relative 1e-6 with no absolute floor, which is far
+below what a different channel assignment or crop would move them by.
 """
 
 import json
@@ -61,7 +60,7 @@ def parse_report(text):
 def assert_close(got, want):
     """Exact on structure, ints, bools and strings; relative on floats."""
     if isinstance(want, float):
-        assert got == pytest.approx(want, rel=REL, abs=REL)
+        assert got == pytest.approx(want, rel=REL, abs=0.0)
     elif isinstance(want, dict):
         assert sorted(got) == sorted(want)
         for key in want:
@@ -134,8 +133,7 @@ EXPECTED_TTA = {
         [-4.507222998405496, 0.07886421743975212]],
 }
 
-# per channel: [sum, sum of squares]; the squares are near 1e-5, below
-# assert_close's absolute floor, so this compares relatively only
+# per channel: [sum, sum of squares]
 EXPECTED_SEPARATE = [[0.02113557979464531, 2.7905944079975598e-05],
                      [-0.07636609673500061, 1.0650479453033768e-05]]
 
@@ -155,7 +153,4 @@ def test_train_losses_unchanged():
 
 
 def test_separate_outputs_unchanged():
-    got = observe_separate()
-    assert np.shape(got) == np.shape(EXPECTED_SEPARATE)
-    for g, w in zip(np.ravel(got), np.ravel(EXPECTED_SEPARATE)):
-        assert g == pytest.approx(w, rel=REL, abs=0.0)
+    assert_close(observe_separate(), EXPECTED_SEPARATE)

@@ -1,9 +1,12 @@
-"""The time-major BiLSTM kernel against the original batch-major one.
+"""The time-major BiLSTM gate against the original batch-major kernel.
 
 `reference_bilstm_bank` is the earlier kernel, kept verbatim as a test
-oracle: it stacks D copies of the input, stores every per-step buffer
-batch-major and keeps tanh(c). The rewrite must give the same float32
-bits for the outputs and for every gradient, and must hold less memory.
+oracle: it returns one output per parameter set, stacks D copies of the
+input, stores every per-step buffer batch-major and keeps tanh(c).
+`bilstm_bank` returns one output, the product of two sets or the output
+of one; it must give the same float32 bits as the oracle's outputs
+multiplied with `ad.mul`, for the output and for every gradient, and
+must hold less memory.
 """
 
 import tracemalloc
@@ -13,6 +16,7 @@ import pytest
 
 import voicesep.autodiff as ad
 from voicesep.autodiff import Tensor
+from voicesep.errors import ConfigurationError
 
 
 def reference_bilstm_bank(x, param_sets):
@@ -142,16 +146,25 @@ def reference_bilstm_bank(x, param_sets):
     return outs
 
 
+def oracle(x, param_sets):
+    """The reference kernel's outputs combined as the fused op returns
+    them: the product of two sets, or the output of one."""
+    outs = reference_bilstm_bank(x, param_sets)
+    return ad.mul(*outs) if len(outs) == 2 else outs[0]
+
+
 # (B, S, F, H): the paper config on a 1 s crop (N = H = 128, 64 chunks of
 # 64 frames) and the N = H = 32 models of the small fit-and-evaluate run
 SHAPES = {"paper": (64, 64, 128, 128), "small": (47, 44, 32, 32)}
 
 
-def make_case(shape, n_sets, batched, seed=0):
+def make_case(shape, n_sets, batched=True, seed=0):
+    """Input, parameter sets and loss weight. Unbatched is one sequence,
+    given as (1, S, F): the op takes batched input only."""
     B, S, F, H = shape
+    B = B if batched else 1
     rng = np.random.default_rng(seed)
-    xs = (B, S, F) if batched else (S, F)
-    x = rng.standard_normal(xs).astype(np.float32)
+    x = rng.standard_normal((B, S, F)).astype(np.float32)
     sets = []
     for _ in range(n_sets):
         lim_x, lim_h = 1 / np.sqrt(F), 1 / np.sqrt(H)
@@ -160,40 +173,32 @@ def make_case(shape, n_sets, batched, seed=0):
         sets.append((rng.uniform(-lim_x, lim_x, (2, F, 4 * H)),
                      rng.uniform(-lim_h, lim_h, (2, H, 4 * H)), b))
     sets = [tuple(a.astype(np.float32) for a in p) for p in sets]
-    out_shape = xs[:-1] + (2 * H,)
-    weights = [rng.standard_normal(out_shape).astype(np.float32)
-               for _ in range(n_sets)]
-    return x, sets, weights
+    weight = rng.standard_normal((B, S, 2 * H)).astype(np.float32)
+    return x, sets, weight
 
 
-def run(kernel, case, tape, used=None, requires_grad=True):
-    """Outputs and [x, wx, wh, b, ...] grads of `kernel` on `case`; the
-    loss is a fixed weighted sum of the outputs listed in `used`."""
-    x_data, set_data, weights = case
+def run(kernel, case, tape, requires_grad=True):
+    """Output and [x, wx, wh, b, ...] grads of `kernel` on `case`; the
+    loss is a fixed weighted sum of the output."""
+    x_data, set_data, weight = case
     x = Tensor(x_data.copy(), requires_grad=requires_grad)
     sets = [ad.LSTMParams(*(Tensor(a.copy(), requires_grad=requires_grad)
                             for a in p)) for p in set_data]
     if not tape:
-        return [o.data for o in kernel(x, sets)], []
-    used = range(len(sets)) if used is None else used
+        return kernel(x, sets).data, []
     with ad.Tape() as t:
-        outs = kernel(x, sets)
+        out = kernel(x, sets)
         if requires_grad:
-            loss = None
-            for i in used:
-                term = ad.tsum(ad.mul(outs[i], Tensor(weights[i])))
-                loss = term if loss is None else ad.add(loss, term)
-            t.backward(loss)
+            t.backward(ad.dot(out, Tensor(weight)))
     grads = [x.grad] + [a.grad for p in sets for a in p]
-    return [o.data for o in outs], grads
+    return out.data, grads
 
 
 def assert_same(new, ref):
-    (outs, grads), (ref_outs, ref_grads) = new, ref
-    assert len(outs) == len(ref_outs) and len(grads) == len(ref_grads)
-    for o, r in zip(outs, ref_outs):
-        assert o.dtype == r.dtype == np.float32
-        assert np.array_equal(o, r)
+    (out, grads), (ref_out, ref_grads) = new, ref
+    assert out.dtype == ref_out.dtype == np.float32
+    assert np.array_equal(out, ref_out)
+    assert len(grads) == len(ref_grads)
     for g, r in zip(grads, ref_grads):
         assert (g is None) == (r is None)
         if g is not None:
@@ -205,21 +210,7 @@ def assert_same(new, ref):
 @pytest.mark.parametrize("tape", [False, True], ids=["no_tape", "tape"])
 def test_bit_identical_to_reference(shape, batched, tape):
     case = make_case(shape, n_sets=2, batched=batched)
-    assert_same(run(ad.bilstm_bank, case, tape),
-                run(reference_bilstm_bank, case, tape))
-
-
-@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
-def test_bit_identical_single_set_and_partial_use(shape):
-    """One set (the ungated ablation), and a loss that reaches only the
-    second of two sets, whose first set must get zero grads."""
-    one = make_case(shape, n_sets=1, batched=True, seed=1)
-    assert_same(run(ad.bilstm_bank, one, True),
-                run(reference_bilstm_bank, one, True))
-    two = make_case(shape, n_sets=2, batched=True, seed=2)
-    new = run(ad.bilstm_bank, two, True, used=[1])
-    assert_same(new, run(reference_bilstm_bank, two, True, used=[1]))
-    assert all(np.all(g == 0) for g in new[1][1:4])
+    assert_same(run(ad.bilstm_bank, case, tape), run(oracle, case, tape))
 
 
 # (B, S, F, H) around the time blocks of the input projection: S one step
@@ -237,29 +228,51 @@ EDGE_SHAPES = {"tail": (3, 2 * BLOCK + 1, 128, 128),
 @pytest.mark.parametrize("tape", [False, True], ids=["no_tape", "tape"])
 def test_bit_identical_across_time_blocks(shape, batched, tape):
     case = make_case(shape, n_sets=2, batched=batched, seed=3)
-    assert_same(run(ad.bilstm_bank, case, tape),
-                run(reference_bilstm_bank, case, tape))
+    assert_same(run(ad.bilstm_bank, case, tape), run(oracle, case, tape))
+
+
+ALL_SHAPES = {**SHAPES, **EDGE_SHAPES}
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES.values(), ids=ALL_SHAPES.keys())
+def test_bit_identical_single_set(shape):
+    """One set: the "-gating" ablation, with no product."""
+    for batched in (True, False):
+        case = make_case(shape, n_sets=1, batched=batched, seed=1)
+        for tape in (False, True):
+            assert_same(run(ad.bilstm_bank, case, tape),
+                        run(oracle, case, tape))
 
 
 def test_tape_without_grads_records_nothing():
-    case = make_case(SHAPES["small"], n_sets=2, batched=True)
+    case = make_case(SHAPES["small"], n_sets=2)
     with ad.Tape() as tape:
-        outs, _ = run(ad.bilstm_bank, case, False, requires_grad=False)
+        out, _ = run(ad.bilstm_bank, case, False, requires_grad=False)
     assert len(tape) == 0
-    assert_same((outs, []), run(reference_bilstm_bank, case, False))
+    assert_same((out, []), run(oracle, case, False))
 
 
 def test_backward_closures_are_owned_by_bilstm_bank():
-    """Per-op backward timing attributes a closure to the function whose
-    name leads its __qualname__."""
-    x_data, set_data, _ = make_case((2, 3, 4, 2), n_sets=2, batched=True)
-    sets = [ad.LSTMParams(*(Tensor(a, requires_grad=True) for a in p))
-            for p in set_data]
-    with ad.Tape() as tape:
-        ad.bilstm_bank(Tensor(x_data), sets)
-    owners = {node.backward.__qualname__.split(".")[0]
-              for node in tape._nodes}
-    assert owners == {"bilstm_bank"}
+    """The gate is one tape node, and per-op backward timing attributes
+    its closure to the function whose name leads its __qualname__."""
+    for n_sets in (1, 2):
+        x_data, set_data, _ = make_case((2, 3, 4, 2), n_sets)
+        sets = [ad.LSTMParams(*(Tensor(a, requires_grad=True) for a in p))
+                for p in set_data]
+        with ad.Tape() as tape:
+            ad.bilstm_bank(Tensor(x_data), sets)
+        assert [node.backward.__qualname__.split(".")[0]
+                for node in tape._nodes] == ["bilstm_bank"]
+
+
+def test_rejects_unbatched_input_and_other_set_counts():
+    x_data, set_data, _ = make_case((2, 3, 4, 2), n_sets=3)
+    sets = [ad.LSTMParams(*(Tensor(a) for a in p)) for p in set_data]
+    with pytest.raises(ConfigurationError):
+        ad.bilstm_bank(Tensor(x_data[0]), sets[:2])  # (S, F)
+    for n in (0, 3):
+        with pytest.raises(ConfigurationError):
+            ad.bilstm_bank(Tensor(x_data), sets[:n])
 
 
 def traced_call(fn):
@@ -283,13 +296,14 @@ SLACK = 512 * 1024
 
 def mem_case():
     B, S, F, H = MEM_SHAPE
-    x_data, set_data, _ = make_case(MEM_SHAPE, n_sets=2, batched=True)
+    x_data, set_data, _ = make_case(MEM_SHAPE, n_sets=2)
     x = Tensor(x_data, requires_grad=True)
     sets = [ad.LSTMParams(*(Tensor(a, requires_grad=True) for a in p))
             for p in set_data]
     D, item = 4, 4
     sizes = {"proj": S * B * D * 4 * H * item,
              "outs": 2 * B * S * 2 * H * item,
+             "gated": B * S * 2 * H * item,
              "gates": S * D * B * 4 * H * item,
              "cs": S * D * B * H * item,
              "hs": S * D * B * H * item,
@@ -312,6 +326,8 @@ def test_no_tape_call_peaks_below_outputs_plus_staging():
 
 
 def test_taped_call_holds_no_input_copy_or_tanh_c():
+    """A taped call keeps the gates, the cell states and both set outputs
+    for backward, and returns the gated product."""
     x, sets, sizes = mem_case()
     tape = ad.Tape()
 
@@ -319,5 +335,5 @@ def test_taped_call_holds_no_input_copy_or_tanh_c():
         with tape:
             return ad.bilstm_bank(x, sets)
     _, held, _ = traced_call(call)
-    saved = sizes["gates"] + sizes["cs"] + sizes["outs"]
+    saved = sizes["gates"] + sizes["cs"] + sizes["outs"] + sizes["gated"]
     assert saved <= held < saved + SLACK

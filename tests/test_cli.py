@@ -102,6 +102,26 @@ def test_eval_report(tmp_path, corpus, trained):
     assert "# aggregate" in text
 
 
+def test_eval_other_sample_rate_exits_3(tmp_path, corpus, trained):
+    """A manifest of 16 kHz WAVs given to an 8 kHz checkpoint is refused
+    before scoring, and no report is written."""
+    entry = dataio.load_manifest(os.path.join(corpus, "test.jsonl"))[0]
+    names = [f"s{i}.wav" for i in range(len(entry.sources))]
+    dataio.wav_write(tmp_path / "mix.wav", entry.mixture, 16000)
+    for name, src in zip(names, entry.sources):
+        dataio.wav_write(tmp_path / name, src, 16000)
+    manifest = tmp_path / "wide.jsonl"
+    manifest.write_text(json.dumps(
+        {"mixture": "mix.wav", "sources": names, "gains": entry.gains,
+         "speakers": entry.speaker_ids}) + "\n")
+    out = tmp_path / "ev"
+    code = main(["eval", "--out", str(out), "--checkpoint",
+                 os.path.join(trained, "best.ckpt"), "--manifest",
+                 str(manifest)])
+    assert code == 3
+    assert not (out / "report.txt").exists()
+
+
 def test_tta_command(tmp_path, corpus, trained):
     entry = dataio.load_manifest(os.path.join(corpus, "test.jsonl"))[0]
     wav = tmp_path / "mix.wav"

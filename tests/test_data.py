@@ -160,6 +160,20 @@ def test_manifest_entries_revalidate(corpus):
         assert np.max(np.abs(entry.mixture - recon)) <= 2 ** -14
 
 
+@pytest.mark.parametrize("wide", ["mix.wav", "s1.wav"])
+def test_manifest_rejects_other_sample_rate(tmp_path, wide):
+    """A mixture or source WAV at 16 kHz is refused, naming the file."""
+    for name in ("mix.wav", "s0.wav", "s1.wav"):
+        dataio.wav_write(tmp_path / name, np.zeros(400),
+                         16000 if name == wide else dataio.SAMPLE_RATE)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps(
+        {"mixture": "mix.wav", "sources": ["s0.wav", "s1.wav"],
+         "gains": [1.0, 1.0], "speakers": ["a", "b"]}) + "\n")
+    with pytest.raises(DataError, match=wide):
+        dataio.load_manifest(manifest)
+
+
 def test_corpus_rebuild_is_byte_identical(corpus, tmp_path):
     root, manifests = corpus
     again = tmp_path / "again"

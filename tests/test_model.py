@@ -106,6 +106,19 @@ def test_gating_ablation_changes_param_count():
     assert diff == SMALL["num_blocks"] * per_lstm
 
 
+@pytest.mark.parametrize("gating", [True, False])
+def test_each_block_records_one_bilstm_bank_node(gating):
+    """The MulCat gate (or the single LSTM of the ablation) is one tape
+    node per block: no separate product, no per-output nodes."""
+    m = small_model(gating=gating)
+    x = np.random.default_rng(2).standard_normal(800).astype(np.float32)
+    with ad.Tape() as tape:
+        forward(m, ad.Tensor(x))
+    owners = [node.backward.__qualname__.split(".")[0]
+              for node in tape._nodes]
+    assert owners.count("bilstm_bank") == SMALL["num_blocks"]
+
+
 def test_gating_false_still_forward():
     m = small_model(gating=False)
     x = np.random.default_rng(3).standard_normal(800).astype(np.float32)
