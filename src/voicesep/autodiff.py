@@ -49,10 +49,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise UsageError("item() requires a scalar tensor, got shape "
@@ -71,19 +67,6 @@ class Tensor:
         else:
             self.grad += g
 
-    # Operator sugar; all delegate to the module-level ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype})"
 
@@ -97,8 +80,7 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Replaying the record in reverse visits every node after all of its
-    consumers, so a single backward sweep suffices. clear() drops the
-    recorded closures and with them all saved activations.
+    consumers, so a single backward sweep suffices.
     """
 
     def __init__(self):
@@ -141,9 +123,6 @@ class Tape:
             g = node.out.grad
             if g is not None:
                 node.backward(g)
-
-    def clear(self) -> None:
-        self._nodes.clear()
 
 
 # The tapes entered in this thread (or asyncio task), innermost last. A
@@ -1009,28 +988,28 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 class GradCheckReport:
     """Outcome of comparing tape gradients to central finite differences."""
     max_rel_err: float
-    tol: float
     worst: list = field(default_factory=list)  # (name, flat index, analytic, numeric, rel)
 
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err < self.tol
+
+_GRAD_CHECK_EPS = 1e-5    # central-difference step
+_GRAD_CHECK_ATOL = 1e-6   # absolute floor of the relative error
+_GRAD_CHECK_WORST = 5     # coordinates kept in GradCheckReport.worst
 
 
-def _rel_err(a: float, n: float, atol: float = 1e-6) -> float:
+def _rel_err(a: float, n: float) -> float:
     """Relative error with an absolute floor: central differences on a
     float64 loss carry ~1e-10 cancellation noise, so coordinates whose
-    true gradient is below `atol` are judged on absolute error."""
-    return abs(a - n) / max(abs(a), abs(n), atol)
+    true gradient is below _GRAD_CHECK_ATOL are judged on absolute
+    error."""
+    return abs(a - n) / max(abs(a), abs(n), _GRAD_CHECK_ATOL)
 
 
-def grad_check_many(f: Callable[[], Tensor], tensors: Sequence[tuple],
-                    eps: float = 1e-5, tol: float = 1e-4,
-                    atol: float = 1e-6, max_worst: int = 5) -> GradCheckReport:
+def grad_check_many(f: Callable[[], Tensor],
+                    tensors: Sequence[tuple]) -> GradCheckReport:
     """Check tape gradients of f() w.r.t. each (name, tensor) pair.
 
     f must be scalar-valued and re-evaluable; run it in float64 for the
-    comparison to be meaningful at the default eps.
+    comparison to be meaningful at a step of _GRAD_CHECK_EPS.
     """
     named = [(name, t) for name, t in tensors]
     for _, t in named:
@@ -1047,23 +1026,21 @@ def grad_check_many(f: Callable[[], Tensor], tensors: Sequence[tuple],
         aflat = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + _GRAD_CHECK_EPS
             fp = f().item()
-            flat[i] = orig - eps
+            flat[i] = orig - _GRAD_CHECK_EPS
             fm = f().item()
             flat[i] = orig
-            num = (fp - fm) / (2.0 * eps)
+            num = (fp - fm) / (2.0 * _GRAD_CHECK_EPS)
             records.append((name, i, float(aflat[i]), num,
-                            _rel_err(float(aflat[i]), num, atol)))
+                            _rel_err(float(aflat[i]), num)))
     records.sort(key=lambda r: -r[4])
     max_err = records[0][4] if records else 0.0
-    return GradCheckReport(max_rel_err=max_err, tol=tol,
-                           worst=records[:max_worst])
+    return GradCheckReport(max_rel_err=max_err,
+                           worst=records[:_GRAD_CHECK_WORST])
 
 
-def grad_check(f: Callable[[Tensor], Tensor], point: Tensor,
-               eps: float = 1e-5, tol: float = 1e-4,
-               atol: float = 1e-6) -> GradCheckReport:
+def grad_check(f: Callable[[Tensor], Tensor], point: Tensor
+               ) -> GradCheckReport:
     """Check the gradient of a scalar tensor function at one point."""
-    return grad_check_many(lambda: f(point), [("point", point)],
-                           eps=eps, tol=tol, atol=atol)
+    return grad_check_many(lambda: f(point), [("point", point)])

@@ -21,7 +21,6 @@ import json
 import numpy as np
 
 from .errors import CheckpointError
-from .autodiff import Tensor
 from .model import ModelConfig, SeparatorModel, init_params
 from .embedder import EmbedderConfig, EmbedderModel, init_embedder
 
@@ -144,12 +143,11 @@ def load_separator(path):
     return model, seed, step, opt
 
 
-def save_embedder(path, model: EmbedderModel, seed: int, step: int = 0,
-                  optimizer=None) -> None:
+def save_embedder(path, model: EmbedderModel, seed: int) -> None:
+    """An embedder is trained in one call, so it is saved at step 0 and
+    without optimizer state."""
     arrays = {name: p.data for name, p in model.named_parameters()}
-    if optimizer is not None:
-        arrays.update(optimizer.state_arrays())
-    save_checkpoint(path, "embedder", model.config.to_dict(), seed, step,
+    save_checkpoint(path, "embedder", model.config.to_dict(), seed, 0,
                     arrays)
 
 

@@ -20,8 +20,7 @@ from . import evalkit
 from . import trainer
 from .embedder import train_embedder
 from .errors import (CheckpointError, ConfigurationError, DataError,
-                     FormatError, InputError, NumericError, UsageError,
-                     VoicesepError)
+                     InputError, NumericError, UsageError, VoicesepError)
 from .model import ModelConfig, init_params
 from .trainer import TrainConfig
 
@@ -79,7 +78,7 @@ def _model_defaults() -> dict:
             "blocks": 6, "kernel": 8, "chunk": None}
 
 
-def _model_config(rc: RunConfig, gating: bool = True) -> ModelConfig:
+def _model_config(rc: RunConfig, gating: bool) -> ModelConfig:
     return ModelConfig(
         n_filters=rc["filters"], kernel_len=rc["kernel"],
         num_blocks=rc["blocks"], hidden=rc["hidden"],
@@ -221,6 +220,16 @@ def _read_wav_for(path, models):
     return x, rate
 
 
+def _check_manifest_rate(path, models):
+    """InputError unless every model runs at SAMPLE_RATE, the only rate
+    a manifest holds."""
+    for model in models:
+        if model.config.sample_rate != dataio.SAMPLE_RATE:
+            raise InputError(
+                f"{path}: manifests hold {dataio.SAMPLE_RATE} Hz audio, "
+                f"model expects {model.config.sample_rate} Hz")
+
+
 def _load_separator_and_wav(args):
     model, _, _, _ = ckpt.load_separator(args.checkpoint)
     x, rate = _read_wav_for(args.wav_in, [model])
@@ -249,8 +258,9 @@ def cmd_separate(args) -> int:
 
 def cmd_eval(args) -> int:
     rc = RunConfig.resolve(args, {"seed": 0, "tta": 0})
-    rc.dump(args.out)
     model, _, _, _ = ckpt.load_separator(args.checkpoint)
+    _check_manifest_rate(args.manifest, [model])
+    rc.dump(args.out)
     entries = dataio.load_manifest(args.manifest)
     report = evalkit.evaluate(entries, model, tta_k=rc["tta"],
                               seed=rc["seed"])
@@ -286,6 +296,7 @@ def cmd_select(args) -> int:
     if threshold is None:
         if not rc["calibrate"]:
             raise UsageError("select needs --threshold or --calibrate")
+        _check_manifest_rate(rc["calibrate"], models.values())
         entries = dataio.load_manifest(rc["calibrate"])
         samples = [(e.mixture, len(e.sources)) for e in entries]
         threshold = evalkit.calibrate_threshold(samples, models)

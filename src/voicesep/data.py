@@ -10,7 +10,7 @@ import json
 import os
 import struct
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError, FormatError, InputError
 
@@ -22,6 +22,9 @@ SAMPLE_RATE = 8000
 _F0_CELLS = [(95, 115), (170, 190), (265, 285), (385, 405)]
 _AM_RATES = [2.0, 3.1, 4.3, 5.7]
 _TILTS = [0.55, 0.75, 0.95]  # harmonic amplitude decay per harmonic index
+_NOISE_FLOOR = 0.10  # broadband noise, relative to each utterance's peak
+_SNR_RANGE_DB = (0.0, 5.0)  # level of each further source against the first
+_SPLIT_FRACS = (0.5, 0.25)  # train and valid shares of the speakers
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,9 @@ class ToySpeaker:
     f0_hi: float
     tilt: float       # k-th harmonic weight = tilt ** (k - 1)
     am_rate: float    # amplitude-modulation rate, Hz
-    noise_floor: float
 
 
-def make_speakers(n: int, seed: int, noise_floor: float = 0.10
-                  ) -> list[ToySpeaker]:
+def make_speakers(n: int, seed: int) -> list[ToySpeaker]:
     """n deterministic, pairwise-distinct speakers.
 
     Fundamental-frequency cells repeat every len(_F0_CELLS) speakers;
@@ -52,8 +53,8 @@ def make_speakers(n: int, seed: int, noise_floor: float = 0.10
         lo, hi = _F0_CELLS[order[i % len(_F0_CELLS)]]
         speakers.append(ToySpeaker(
             id=f"spk{i:02d}", f0_lo=float(lo), f0_hi=float(hi),
-            tilt=_TILTS[i % len(_TILTS)], am_rate=_AM_RATES[i % len(_AM_RATES)],
-            noise_floor=noise_floor))
+            tilt=_TILTS[i % len(_TILTS)],
+            am_rate=_AM_RATES[i % len(_AM_RATES)]))
     return speakers
 
 
@@ -79,7 +80,7 @@ def synth_utterance(speaker: ToySpeaker, duration_s: float, seed
     am = 1.0 + 0.5 * np.sin(2 * np.pi * speaker.am_rate * t
                             + rng.uniform(0, 2 * np.pi))
     sig *= am
-    sig += speaker.noise_floor * np.max(np.abs(sig)) * rng.standard_normal(n)
+    sig += _NOISE_FLOOR * np.max(np.abs(sig)) * rng.standard_normal(n)
     peak = np.max(np.abs(sig))
     if peak > 0:
         sig *= 0.5 / peak
@@ -92,17 +93,16 @@ class MixtureSample:
     sources: list          # raw source waveforms s_i
     gains: list            # scale factors c_i; x == sum(c_i * s_i)
     speaker_ids: list
-    sample_rate: int = SAMPLE_RATE
 
     def scaled_sources(self) -> list:
         """Sources as they appear inside the mixture (c_i * s_i)."""
         return [g * s for g, s in zip(self.gains, self.sources)]
 
 
-def make_mixture(sources, speaker_ids, seed, snr_range=(0.0, 5.0),
+def make_mixture(sources, speaker_ids, seed,
                  forced_snrs=None) -> MixtureSample:
     """Sum sources with the first at gain 1 and each other source at a
-    random SNR (dB, relative to the first) drawn from snr_range."""
+    random SNR drawn uniformly from 0 to 5 dB below the first."""
     c = len(sources)
     if c < 2:
         raise InputError("make_mixture: need at least 2 sources")
@@ -118,7 +118,7 @@ def make_mixture(sources, speaker_ids, seed, snr_range=(0.0, 5.0),
     gains = [1.0]
     for i in range(1, c):
         snr = (forced_snrs[i - 1] if forced_snrs is not None
-               else rng.uniform(*snr_range))
+               else rng.uniform(*_SNR_RANGE_DB))
         gains.append(float(np.sqrt(powers[0] / (powers[i] * 10 ** (snr / 10)))))
     x = np.zeros(len(sources[0]))
     for g, s in zip(gains, sources):
@@ -193,8 +193,7 @@ def wav_read(path):
 SPLITS = ("train", "valid", "test")
 
 
-def _split_speakers(speakers, fracs=(0.5, 0.25, 0.25), min_per_split=2,
-                    split_sizes=None):
+def _split_speakers(speakers, min_per_split, split_sizes):
     n = len(speakers)
     if split_sizes is not None:
         sizes = [split_sizes[s] for s in SPLITS]
@@ -204,8 +203,8 @@ def _split_speakers(speakers, fracs=(0.5, 0.25, 0.25), min_per_split=2,
                 f"{n} speakers with at least {min_per_split} per split")
         n_train, n_valid = sizes[0], sizes[1]
     else:
-        n_train = max(min_per_split, int(round(n * fracs[0])))
-        n_valid = max(min_per_split, int(round(n * fracs[1])))
+        n_train = max(min_per_split, int(round(n * _SPLIT_FRACS[0])))
+        n_valid = max(min_per_split, int(round(n * _SPLIT_FRACS[1])))
         if n - n_train - n_valid < min_per_split:
             raise DataError(
                 f"build_corpus: {n} speakers cannot give {min_per_split}+ "
@@ -218,7 +217,6 @@ def _split_speakers(speakers, fracs=(0.5, 0.25, 0.25), min_per_split=2,
 def build_corpus(root, n_speakers: int, utt_per_speaker: int,
                  mixture_counts: dict, seed: int,
                  duration_s: float = 0.5,
-                 noise_floor: float = 0.10,
                  split_sizes: dict = None) -> dict:
     """Generate a toy corpus under `root`.
 
@@ -228,10 +226,9 @@ def build_corpus(root, n_speakers: int, utt_per_speaker: int,
     50/25/25 split. Returns {split: manifest path}. Byte-identical given
     the same arguments (derived per-sample seeds, sorted key order).
     """
-    speakers = make_speakers(n_speakers, seed, noise_floor)
+    speakers = make_speakers(n_speakers, seed)
     min_per = max(int(c) for c in mixture_counts)
-    splits = _split_speakers(speakers, min_per_split=max(2, min_per),
-                             split_sizes=split_sizes)
+    splits = _split_speakers(speakers, max(2, min_per), split_sizes)
     os.makedirs(root, exist_ok=True)
     manifests = {}
     for split_idx, split in enumerate(SPLITS):
@@ -299,16 +296,17 @@ class ManifestEntry:
 def _read_at_sample_rate(path) -> np.ndarray:
     x, rate = wav_read(path)
     if rate != SAMPLE_RATE:
-        raise DataError(f"{path}: sample rate {rate} Hz, manifests hold "
+        raise DataError(f"{path}: sample rate {rate} Hz, the corpus holds "
                         f"{SAMPLE_RATE} Hz audio")
     return x
 
 
-def load_manifest(path, root=None) -> list[ManifestEntry]:
-    """Load every entry of a JSONL manifest into memory. Raises DataError
-    when a mixture or source WAV is not at SAMPLE_RATE, the only rate
-    build_corpus writes."""
-    root = root or os.path.dirname(os.path.abspath(path))
+def load_manifest(path) -> list[ManifestEntry]:
+    """Load every entry of a JSONL manifest into memory; WAV paths are
+    relative to the manifest's directory. Raises DataError when a mixture
+    or source WAV is not at SAMPLE_RATE, the only rate build_corpus
+    writes."""
+    root = os.path.dirname(os.path.abspath(path))
     entries = []
     try:
         with open(path) as f:
@@ -334,9 +332,10 @@ def load_manifest(path, root=None) -> list[ManifestEntry]:
     return entries
 
 
-def embedder_corpus(root, split: str = "train") -> list:
+def embedder_corpus(root, split: str) -> list:
     """(clip, speaker id) pairs from a split's utterance pool, for the
-    speaker classifier. Clips are cut to exact 500 ms windows."""
+    speaker classifier. Clips are cut to exact 500 ms windows. Raises
+    DataError when an utterance WAV is not at SAMPLE_RATE."""
     sdir = os.path.join(root, split)
     clip_len = SAMPLE_RATE // 2
     pairs = []
@@ -344,7 +343,7 @@ def embedder_corpus(root, split: str = "train") -> list:
         if not name.endswith(".wav") or name.startswith("mix"):
             continue
         spk = name.split("_")[0]
-        w, _ = wav_read(os.path.join(sdir, name))
+        w = _read_at_sample_rate(os.path.join(sdir, name))
         for start in range(0, len(w) - clip_len + 1, clip_len):
             pairs.append((w[start:start + clip_len], spk))
     if not pairs:

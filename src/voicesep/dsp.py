@@ -11,7 +11,7 @@ overlap_add(chunk(z)) == z exactly (up to float rounding).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -104,34 +104,18 @@ def overlap_add(ct: ChunkTensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# STFT / iSTFT (analysis path, plain numpy)
+# STFT / iSTFT (analysis path, plain numpy, Hamming window)
 # ---------------------------------------------------------------------------
-
-_WINDOWS = {
-    "hamming": np.hamming,
-    "hann": np.hanning,
-}
-
 
 @dataclass
 class Spectrogram:
-    """Complex STFT bins (F_bins, frames) with the geometry that made them."""
+    """Complex STFT bins (F_bins, frames) with the geometry that made them.
+    The signal was reflect-padded by win_len // 2 samples at the front."""
     bins: np.ndarray
     win_len: int
     hop: int
     nfft: int
-    window: str
-    sample_rate: int
     orig_len: int
-    pad_front: int
-
-    @property
-    def n_bins(self) -> int:
-        return self.bins.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.bins.shape[1]
 
 
 def _check_stft_sizes(win_len: int, hop: int, nfft: int) -> None:
@@ -159,9 +143,8 @@ def _frame_indices(n: int, win_len: int, hop: int) -> np.ndarray:
     return np.clip(idx, 0, n - 1)
 
 
-def stft(x: np.ndarray, win_len: int, hop: int, nfft: int,
-         window: str = "hamming", sample_rate: int = 8000) -> Spectrogram:
-    """Standard discrete STFT with reflect-padded edges."""
+def stft(x: np.ndarray, win_len: int, hop: int, nfft: int) -> Spectrogram:
+    """Hamming-windowed discrete STFT with reflect-padded edges."""
     _check_stft_sizes(win_len, hop, nfft)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -170,18 +153,16 @@ def stft(x: np.ndarray, win_len: int, hop: int, nfft: int,
         raise InputError(
             f"stft: input of {len(x)} samples not longer than one window "
             f"({win_len})")
-    win = _WINDOWS[window](win_len)
     idx = _frame_indices(len(x), win_len, hop)
-    frames = x[idx] * win
+    frames = x[idx] * np.hamming(win_len)
     bins = np.fft.rfft(frames, n=nfft, axis=1).T  # (F_bins, frames)
     return Spectrogram(bins=bins, win_len=win_len, hop=hop, nfft=nfft,
-                       window=window, sample_rate=sample_rate,
-                       orig_len=len(x), pad_front=win_len // 2)
+                       orig_len=len(x))
 
 
 def istft(spec: Spectrogram) -> np.ndarray:
     """Weighted overlap-add inverse with window-square normalization."""
-    win = _WINDOWS[spec.window](spec.win_len)
+    win = np.hamming(spec.win_len)
     frames = np.fft.irfft(spec.bins.T, n=spec.nfft, axis=1)[:, :spec.win_len]
     frames *= win
     n_frames = frames.shape[0]
@@ -193,7 +174,7 @@ def istft(spec: Spectrogram) -> np.ndarray:
         lo = j * spec.hop
         num[lo:lo + spec.win_len] += frames[j]
         den[lo:lo + spec.win_len] += wsq
-    lo = spec.pad_front
+    lo = spec.win_len // 2
     hi = lo + spec.orig_len
     den = np.maximum(den, 1e-12)
     return (num / den)[lo:hi]
@@ -202,13 +183,7 @@ def istft(spec: Spectrogram) -> np.ndarray:
 def mixture_phase_reconstruct(mask: np.ndarray, mix_spec: Spectrogram
                               ) -> np.ndarray:
     """Apply a real T-F mask to a mixture spectrogram and invert."""
-    masked = Spectrogram(bins=mix_spec.bins * mask, win_len=mix_spec.win_len,
-                         hop=mix_spec.hop, nfft=mix_spec.nfft,
-                         window=mix_spec.window,
-                         sample_rate=mix_spec.sample_rate,
-                         orig_len=mix_spec.orig_len,
-                         pad_front=mix_spec.pad_front)
-    return istft(masked)
+    return istft(replace(mix_spec, bins=mix_spec.bins * mask))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +191,9 @@ def mixture_phase_reconstruct(mask: np.ndarray, mix_spec: Spectrogram
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _dft_mats(win_len: int, nfft: int, window: str):
+def _dft_mats(win_len: int, nfft: int):
     n_bins = nfft // 2 + 1
-    win = _WINDOWS[window](win_len)
+    win = np.hamming(win_len)
     t = np.arange(win_len)[:, None]
     k = np.arange(n_bins)[None, :]
     ang = -2.0 * np.pi * t * k / nfft
@@ -227,8 +202,8 @@ def _dft_mats(win_len: int, nfft: int, window: str):
     return cos_m, sin_m
 
 
-def power_spectrogram(x: Tensor, win_len: int, hop: int, nfft: int,
-                      window: str = "hamming") -> Tensor:
+def power_spectrogram(x: Tensor, win_len: int, hop: int,
+                      nfft: int) -> Tensor:
     """|STFT|^2 of a 1-D waveform tensor, differentiable w.r.t. x.
 
     The DFT is folded into two constant matmuls (cosine/sine), so the whole
@@ -241,7 +216,7 @@ def power_spectrogram(x: Tensor, win_len: int, hop: int, nfft: int,
         raise InputError("power_spectrogram: input not longer than a window")
     idx = _frame_indices(x.shape[0], win_len, hop)
     frames = ad.gather_rows(x, idx)  # (J, win_len)
-    cos_m, sin_m = _dft_mats(win_len, nfft, window)
+    cos_m, sin_m = _dft_mats(win_len, nfft)
     dt = x.data.dtype
     re = ad.matmul(frames, Tensor(cos_m, dtype=dt))
     im = ad.matmul(frames, Tensor(sin_m, dtype=dt))

@@ -18,6 +18,12 @@ from .autodiff import Tensor
 from .errors import DataError, InputError
 from .optim import Adam
 
+# Classifier training: Adam step size, clips per step, and the share of
+# each speaker's clips held out to measure accuracy.
+TRAIN_LR = 1e-3
+TRAIN_BATCH = 16
+HOLDOUT_FRAC = 0.2
+
 
 @dataclass
 class EmbedderConfig:
@@ -105,11 +111,6 @@ class EmbedderModel:
         out = ad.linear(emb, self.params["cls.w"], self.params["cls.b"])
         return ad.reshape(out, (self.config.n_classes,))
 
-    def embed(self, clip: np.ndarray) -> np.ndarray:
-        """Embedding of a 500 ms waveform; deterministic, no tape."""
-        return self.embed_tensor(Tensor(np.asarray(clip,
-                                                   dtype=np.float32))).data
-
     def classify(self, clip: np.ndarray) -> int:
         logits = self.logits_tensor(Tensor(np.asarray(clip,
                                                       dtype=np.float32)))
@@ -160,10 +161,7 @@ def _accuracy(model: EmbedderModel, clips, labels) -> float:
     return correct / max(len(clips), 1)
 
 
-def train_embedder(corpus, epochs: int = 20, seed: int = 0,
-                   lr: float = 1e-3, batch_size: int = 16,
-                   holdout_frac: float = 0.2,
-                   config: EmbedderConfig | None = None):
+def train_embedder(corpus, epochs: int = 20, seed: int = 0):
     """Train the closed-set speaker classifier.
 
     corpus: sequence of (clip waveform, speaker id) with clips of exactly
@@ -181,8 +179,7 @@ def train_embedder(corpus, epochs: int = 20, seed: int = 0,
                 f"train_embedder: speaker {spk} has {len(clips)} clips, "
                 "need at least 20")
     classes = sorted(by_speaker)
-    cfg = config or EmbedderConfig()
-    cfg.n_classes = len(classes)
+    cfg = EmbedderConfig(n_classes=len(classes))
     sr_len = cfg.clip_len
     rng = np.random.default_rng(seed)
 
@@ -195,7 +192,7 @@ def train_embedder(corpus, epochs: int = 20, seed: int = 0,
                     f"train_embedder: clip of {len(clip)} samples for "
                     f"speaker {spk}, expected {sr_len}")
         order = rng.permutation(len(clips))
-        n_hold = max(1, int(round(holdout_frac * len(clips))))
+        n_hold = max(1, int(round(HOLDOUT_FRAC * len(clips))))
         for pos, ci in enumerate(order):
             if pos < n_hold:
                 hold_clips.append(clips[ci])
@@ -206,12 +203,12 @@ def train_embedder(corpus, epochs: int = 20, seed: int = 0,
 
     model = init_embedder(cfg, seed)
     model.classes = classes
-    opt = Adam(model.named_parameters(), lr=lr)
+    opt = Adam(model.named_parameters(), lr=TRAIN_LR)
     n = len(train_clips)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            batch = order[lo:lo + batch_size]
+        for lo in range(0, n, TRAIN_BATCH):
+            batch = order[lo:lo + TRAIN_BATCH]
             opt.zero_grad()
             with ad.Tape() as tape:
                 logit_rows = [

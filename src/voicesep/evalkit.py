@@ -74,10 +74,6 @@ class SelectionReport:
     path: list = field(default_factory=list)        # C values visited
     levels: dict = field(default_factory=dict)      # C -> per-channel dB
 
-    def validate(self) -> None:
-        if self.path != sorted(self.path, reverse=True):
-            raise InputError("cascade path must strictly descend")
-
 
 def select_count(x, models: dict, threshold: float):
     """Descend from the largest-C model while any channel looks silent.
@@ -167,25 +163,24 @@ def tta_separate(x, model, k: int, seed: int) -> list:
     return [a / (k + 1) for a in acc]
 
 
-def switch_rate(entries, model, clip_s: float = SWITCH_CLIP_S,
-                outputs=None) -> float:
+def switch_rate(entries, model, outputs=None) -> float:
     """Fraction of samples whose channel-to-target matching changes over
     time.
 
-    Each sample is cut into clip_s sub-clips; within each sub-clip every
-    output channel is assigned to its best-SI-SNR target. Sub-clips whose
-    target energy falls below -60 dB are excluded (argmax over silence is
-    noise). A sample counts as switching if any channel's assignment
-    changes across the included sub-clips.
+    Each sample is cut into SWITCH_CLIP_S sub-clips; within each sub-clip
+    every output channel is assigned to its best-SI-SNR target. Sub-clips
+    whose target energy falls below -60 dB are excluded (argmax over
+    silence is noise). A sample counts as switching if any channel's
+    assignment changes across the included sub-clips.
     """
     entries = list(entries)
     if not entries:
         raise DataError("switch_rate: no samples")
+    clip = int(round(SWITCH_CLIP_S * data.SAMPLE_RATE))
     flagged = 0
     for idx, entry in enumerate(entries):
         ests = (outputs[idx] if outputs is not None
                 else separator.separate(model, entry.mixture))
-        clip = int(round(clip_s * data.SAMPLE_RATE))
         if flag_switch(entry.sources, ests, clip):
             flagged += 1
     return flagged / len(entries)
@@ -216,9 +211,8 @@ ORACLE_NFFT = 2048
 def _oracle_specs(x, sources, sample_rate):
     win = sample_rate * ORACLE_WIN_MS // 1000
     hop = sample_rate * ORACLE_HOP_MS // 1000
-    mix_spec = dsp.stft(x, win, hop, ORACLE_NFFT, sample_rate=sample_rate)
-    src_mags = [np.abs(dsp.stft(s, win, hop, ORACLE_NFFT,
-                                sample_rate=sample_rate).bins)
+    mix_spec = dsp.stft(x, win, hop, ORACLE_NFFT)
+    src_mags = [np.abs(dsp.stft(s, win, hop, ORACLE_NFFT).bins)
                 for s in sources]
     return mix_spec, src_mags
 

@@ -138,22 +138,21 @@ def multiscale_loss(targets, output_groups):
     return ad.scale(total, 1.0 / b), assignments
 
 
-def id_loss(targets, estimates, perm: PermutationAssignment, embedder,
-            segment_s: float = 0.5):
+def id_loss(targets, estimates, perm: PermutationAssignment, embedder):
     """Speaker-identity loss: MSE between embeddings of matched segments.
 
-    Both signals are cut into non-overlapping `segment_s` windows from the
-    start (remainder dropped); channel i of the targets is compared against
-    estimate perm[i]. The embedder stays frozen; gradients reach the
-    estimates through the differentiable spectrogram features.
+    Both signals are cut into non-overlapping windows of the embedder's
+    clip length from the start (remainder dropped); channel i of the
+    targets is compared against estimate perm[i]. The embedder stays
+    frozen; gradients reach the estimates through the differentiable
+    spectrogram features.
     """
     c = len(targets)
     if c != len(estimates):
         raise InputError("id_loss: channel count mismatch")
     perm.validate()
     n = ad.as_tensor(targets[0]).shape[0]
-    sr = embedder.config.sample_rate
-    seg = int(round(segment_s * sr))
+    seg = embedder.config.clip_len
     n_seg = n // seg
     if n_seg == 0:
         warnings.warn("id_loss: utterance shorter than one segment; loss 0")

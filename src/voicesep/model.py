@@ -83,46 +83,36 @@ class SeparatorModel:
                           wh=self.params[pre + "wh"],
                           b=self.params[pre + "b"])
 
-    def astype(self, dtype) -> "SeparatorModel":
-        clone = SeparatorModel(config=self.config)
-        for name, p in self.params.items():
-            clone.params[name] = Tensor(p.data.astype(dtype),
-                                        requires_grad=p.requires_grad)
-        return clone
 
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int,
-             dtype) -> np.ndarray:
+def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     lim = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-lim, lim, size=shape).astype(dtype)
+    return rng.uniform(-lim, lim, size=shape).astype(np.float32)
 
 
-def init_params(config: ModelConfig, seed: int,
-                dtype=np.float32) -> SeparatorModel:
-    """Deterministic initialization: uniform +-1/sqrt(fan-in) weights,
-    forget-gate biases +1, PReLU slope 0.25."""
+def init_params(config: ModelConfig, seed: int) -> SeparatorModel:
+    """Deterministic float32 initialization: uniform +-1/sqrt(fan-in)
+    weights, forget-gate biases +1, PReLU slope 0.25."""
     config.validate()
     rng = np.random.default_rng(seed)
     n, L, h, c = (config.n_filters, config.kernel_len, config.hidden,
                   config.num_speakers)
     p: dict[str, np.ndarray] = {}
-    p["encoder.kernel"] = _uniform(rng, (n, 1, L), L, dtype)
+    p["encoder.kernel"] = _uniform(rng, (n, 1, L), L)
     for i in range(1, config.num_blocks + 1):
         n_lstms = 2 if config.gating else 1
         for j in range(1, n_lstms + 1):
             pre = f"block{i}.lstm{j}."
-            p[pre + "wx"] = _uniform(rng, (2, n, 4 * h), n, dtype)
-            p[pre + "wh"] = _uniform(rng, (2, h, 4 * h), h, dtype)
-            bias = np.zeros((2, 4 * h), dtype=dtype)
+            p[pre + "wx"] = _uniform(rng, (2, n, 4 * h), n)
+            p[pre + "wh"] = _uniform(rng, (2, h, 4 * h), h)
+            bias = np.zeros((2, 4 * h), dtype=np.float32)
             bias[:, h:2 * h] = 1.0  # forget gate
             p[pre + "b"] = bias
-        p[f"block{i}.proj.w"] = _uniform(rng, (2 * h + n, n), 2 * h + n,
-                                         dtype)
-        p[f"block{i}.proj.b"] = np.zeros(n, dtype=dtype)
-    p["prelu.slope"] = np.asarray(0.25, dtype=dtype).reshape(())
-    p["decoder.w"] = _uniform(rng, (n, c * n), n, dtype)
-    p["decoder.b"] = np.zeros(c * n, dtype=dtype)
-    p["wavedec.kernel"] = _uniform(rng, (n, 1, L), n, dtype)
+        p[f"block{i}.proj.w"] = _uniform(rng, (2 * h + n, n), 2 * h + n)
+        p[f"block{i}.proj.b"] = np.zeros(n, dtype=np.float32)
+    p["prelu.slope"] = np.asarray(0.25, dtype=np.float32).reshape(())
+    p["decoder.w"] = _uniform(rng, (n, c * n), n)
+    p["decoder.b"] = np.zeros(c * n, dtype=np.float32)
+    p["wavedec.kernel"] = _uniform(rng, (n, 1, L), n)
     model = SeparatorModel(config=config)
     for name, arr in p.items():
         model.params[name] = Tensor(arr, requires_grad=True)
@@ -227,7 +217,3 @@ def separate(model: SeparatorModel, x: np.ndarray) -> list[np.ndarray]:
         x = np.pad(x, (0, pad))
     groups = forward(model, Tensor(x), multiloss=False)
     return [ch.data[:n].copy() for ch in groups[-1]]
-
-
-def count_parameters(model: SeparatorModel) -> int:
-    return sum(p.data.size for _, p in model.named_parameters())

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import NumericError
+
+BETA1 = 0.9     # decay of the first-moment (mean) estimate
+BETA2 = 0.999   # decay of the second-moment estimate
+EPS = 1e-8      # added to the root of the second moment
 
 
 class Adam:
@@ -16,13 +19,9 @@ class Adam:
     A step with all-zero gradients leaves parameters exactly unchanged.
     """
 
-    def __init__(self, named_params, lr: float = 5e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, lr: float = 5e-4):
         self.named_params = list(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -33,8 +32,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.named_params:
             g = p.grad
             if g is None:
@@ -44,14 +43,14 @@ class Adam:
                                    f"optimizer step {self.t}")
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
             if np.all(m == 0.0) and np.all(v == 0.0):
                 continue  # zero gradient so far: exact no-op
             mhat = m / bc1
             vhat = v / bc2
             p.data -= (self.lr * mhat /
-                       (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
+                       (np.sqrt(vhat) + EPS)).astype(p.data.dtype)
 
     def state_arrays(self) -> dict:
         """Flat name->array view of optimizer state for checkpointing."""

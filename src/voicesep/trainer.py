@@ -15,35 +15,33 @@ from . import model as separator
 from .errors import ConfigurationError, InputError, NumericError
 from .optim import Adam, clip_global_norm
 
+# The paper's training schedule: the learning rate decays by a factor of
+# 0.98 every two epochs, gradients are clipped to a global L2 norm of 5,
+# and the identity loss is weighted 0.001 against the separation loss.
+LR_DECAY = 0.98
+DECAY_EVERY = 2
+CLIP_NORM = 5.0
+ID_WEIGHT = 0.001
+
 
 @dataclass
 class TrainConfig:
     epochs: int
     seed: int = 0
     lr: float = 5e-4
-    lr_decay: float = 0.98
-    decay_every: int = 2          # epochs between LR decay steps
     batch_size: int = 2
     segment_s: float = 4.0
-    id_weight: float = 0.001
-    clip_norm: float = 5.0
     multiloss: bool = True
     idloss: bool = True
 
     def validate(self) -> None:
-        for name in ("epochs", "lr", "lr_decay", "decay_every",
-                     "batch_size", "segment_s", "clip_norm"):
+        for name in ("epochs", "lr", "batch_size", "segment_s"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"TrainConfig.{name} must be > 0")
-        if self.id_weight < 0:
-            raise ConfigurationError("TrainConfig.id_weight must be >= 0")
 
     def lr_at(self, epoch: int) -> float:
-        """LR for a 1-based epoch: decayed once per `decay_every` epochs."""
-        return self.lr * self.lr_decay ** ((epoch - 1) // self.decay_every)
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        """LR for a 1-based epoch: decayed once per DECAY_EVERY epochs."""
+        return self.lr * LR_DECAY ** ((epoch - 1) // DECAY_EVERY)
 
 
 @dataclass
@@ -139,7 +137,7 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
                     if cfg.idloss:
                         idl = losses.id_loss(t32, groups[-1], assigns[-1],
                                              embedder)
-                        loss = ad.add(loss, ad.scale(idl, cfg.id_weight))
+                        loss = ad.add(loss, ad.scale(idl, ID_WEIGHT))
                     total = loss if total is None else ad.add(total, loss)
                 total = ad.scale(total, 1.0 / len(idxs))
                 value = total.item()
@@ -148,7 +146,7 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
                         f"train: non-finite loss {value} at step {step_no} "
                         f"(epoch {epoch})")
                 tape.backward(total)
-            clip_global_norm(model.named_parameters(), cfg.clip_norm)
+            clip_global_norm(model.named_parameters(), CLIP_NORM)
             opt.step()
             model.zero_grad()
             epoch_losses.append(value)

@@ -4,13 +4,17 @@ augmentation, inference and training paths, recorded as literals.
 The literals were recorded before the assignment search moved from
 brute-force permutation loops to `linear_sum_assignment` and before the
 chunk geometry was fixed at hop K/2; the `separate` checksums before the
-BiLSTM input projection was computed one block of time steps at a time.
-Matching them shows those changes left what a caller sees unchanged.
+BiLSTM input projection was computed one block of time steps at a time;
+the corpus digests before the generator's noise floor, SNR range and
+split shares became constants. Matching them shows those changes left
+what a caller sees unchanged.
 Floats compare to a relative 1e-6 with no absolute floor, which is far
 below what a different channel assignment or crop would move them by.
 """
 
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -100,6 +104,29 @@ def observe_separate():
     return [[float(np.sum(ch)), float(np.sum(ch * ch))] for ch in outs]
 
 
+def tree_sha1(root):
+    """SHA-1 over every file under `root`: relative path, then bytes."""
+    h = hashlib.sha1()
+    for path in sorted(pathlib.Path(root).rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def observe_corpus(tmp_path):
+    """Digests of a corpus at the default 50/25/25 speaker split and of
+    one with explicit split sizes and 2- and 3-speaker mixtures."""
+    dataio.build_corpus(tmp_path / "default", n_speakers=8,
+                        utt_per_speaker=2, mixture_counts={2: 3}, seed=4)
+    dataio.build_corpus(
+        tmp_path / "sized", n_speakers=12, utt_per_speaker=2,
+        mixture_counts={2: 2, 3: {"train": 2, "valid": 1, "test": 1}},
+        seed=5, split_sizes={"train": 4, "valid": 4, "test": 4})
+    return {name: tree_sha1(tmp_path / name) for name in ("default",
+                                                          "sized")}
+
+
 def observe_train():
     model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
                                     kernel_len=4, num_speakers=2,
@@ -139,6 +166,9 @@ EXPECTED_SEPARATE = [[0.02113557979464531, 2.7905944079975598e-05],
 
 EXPECTED_TRAIN = [7.1093714237213135, 6.319709777832031]
 
+EXPECTED_CORPUS = {"default": "c78e6069e626a7d742ad29eb017e239747f2a8c4",
+                   "sized": "ada8c9afe4ed154f278725c5b2c295c85ce6ca3c"}
+
 
 def test_evaluate_report_unchanged():
     assert_close(observe_evaluate(), EXPECTED_EVALUATE)
@@ -154,3 +184,7 @@ def test_train_losses_unchanged():
 
 def test_separate_outputs_unchanged():
     assert_close(observe_separate(), EXPECTED_SEPARATE)
+
+
+def test_corpus_bytes_unchanged(tmp_path):
+    assert observe_corpus(tmp_path) == EXPECTED_CORPUS

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -120,6 +121,58 @@ def test_eval_other_sample_rate_exits_3(tmp_path, corpus, trained):
                  str(manifest)])
     assert code == 3
     assert not (out / "report.txt").exists()
+
+
+def save_4khz_model(path, c=2):
+    """A checkpoint of a tiny C-speaker model that runs at 4 kHz."""
+    model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
+                                    kernel_len=4, num_speakers=c,
+                                    chunk_len=6, sample_rate=4000), seed=0)
+    ckpt.save_separator(path, model, seed=0, step=0)
+    return str(path)
+
+
+def test_eval_model_at_other_rate_exits_3(tmp_path, corpus):
+    """An 8 kHz manifest given to a 4 kHz checkpoint is refused before
+    anything is written."""
+    out = tmp_path / "ev"
+    code = main(["eval", "--out", str(out), "--checkpoint",
+                 save_4khz_model(tmp_path / "4k.ckpt"), "--manifest",
+                 os.path.join(corpus, "test.jsonl")])
+    assert code == 3
+    assert not out.exists()
+
+
+def test_select_calibrates_only_at_the_model_rate(tmp_path, corpus, capsys):
+    """A 4 kHz cascade is given a 4 kHz WAV, but the calibration manifest
+    holds 8 kHz audio: refused, and no channel is written."""
+    wav = tmp_path / "x.wav"
+    dataio.wav_write(wav, np.zeros(400), 4000)
+    out = tmp_path / "sel"
+    code = main(["select", "--out", str(out), "--cascade",
+                 f"2={save_4khz_model(tmp_path / '4k.ckpt')}",
+                 "--calibrate", os.path.join(corpus, "valid.jsonl"),
+                 "--in", str(wav)])
+    assert code == 3
+    assert "InputError" in capsys.readouterr().err
+    assert not list(out.glob("channel*.wav"))
+
+
+def test_train_embedder_corpus_at_other_rate_exits_3(tmp_path, corpus,
+                                                     capsys):
+    """With the identity loss on and no --embedder, a 16 kHz utterance in
+    the training pool (one no mixture uses, so the manifests load) is
+    refused by name, not cut into short clips."""
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus, root)
+    dataio.wav_write(root / "train" / "spk99_u000.wav", np.zeros(16000),
+                     16000)
+    code = main(["train", "--out", str(tmp_path / "tr"), "--data",
+                 str(root), "--epochs", "1", "--segment", "0.25",
+                 *SMALL_FLAGS])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("DataError") and "spk99_u000.wav" in err
 
 
 def test_tta_command(tmp_path, corpus, trained):

@@ -202,3 +202,15 @@ def test_embedder_corpus_clips(corpus):
     pairs = dataio.embedder_corpus(root, "train")
     assert all(len(clip) == 4000 for clip, _ in pairs)
     assert len({spk for _, spk in pairs}) >= 2
+
+
+def test_embedder_corpus_rejects_other_sample_rate(tmp_path):
+    """A 1 s utterance at 16 kHz is refused by name, not cut into four
+    250 ms clips."""
+    (tmp_path / "train").mkdir()
+    dataio.wav_write(tmp_path / "train" / "spk00_u000.wav",
+                     np.zeros(dataio.SAMPLE_RATE), dataio.SAMPLE_RATE)
+    dataio.wav_write(tmp_path / "train" / "spk01_u000.wav",
+                     np.zeros(16000), 16000)
+    with pytest.raises(DataError, match="spk01_u000.wav"):
+        dataio.embedder_corpus(tmp_path, "train")

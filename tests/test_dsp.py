@@ -65,7 +65,7 @@ def test_chunk_gradients_flow():
         back = dsp.overlap_add(ct)
         return ad.dot(back, ad.Tensor(w))
     rep = ad.grad_check_many(f, [("z", z)])
-    assert rep.passed, rep.worst[:3]
+    assert rep.max_rel_err < 1e-4, rep.worst[:3]
     # round trip is the identity, so the gradient is exactly the weights
     np.testing.assert_allclose(z.grad, w, atol=1e-9)
 
@@ -114,5 +114,5 @@ def test_power_spectrogram_gradients():
     def f():
         feats = dsp.power_spectrogram(x, win_len=80, hop=80, nfft=80)
         return ad.dot(feats, ad.Tensor(w))
-    rep = ad.grad_check_many(f, [("x", x)], tol=5e-4)
-    assert rep.passed, rep.worst[:3]
+    rep = ad.grad_check_many(f, [("x", x)])
+    assert rep.max_rel_err < 5e-4, rep.worst[:3]

@@ -256,3 +256,16 @@ def test_id_loss_respects_permutation(embedder):
     perm = losses.PermutationAssignment(perm=(1, 0), score=0.0)
     val = losses.id_loss(s, swapped, perm, embedder)
     assert val.item() == pytest.approx(0.0, abs=1e-10)
+
+
+def test_id_loss_segments_follow_the_embedder_clip():
+    """An embedder of 0.25 s clips scores two 1 s targets in four
+    segments each, not in the 0.5 s segments of the default clip."""
+    short = init_embedder(EmbedderConfig(clip_s=0.25, n_classes=2), 0)
+    rng = np.random.default_rng(13)
+    s = [rng.standard_normal(8000).astype(np.float32) for _ in range(2)]
+    ests = [ad.Tensor(si + 0.2 * rng.standard_normal(8000).astype(
+        np.float32)) for si in s]
+    perm = losses.PermutationAssignment(perm=(0, 1), score=0.0)
+    val = losses.id_loss(s, ests, perm, short)
+    assert np.isfinite(val.item()) and val.item() > 0

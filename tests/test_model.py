@@ -5,8 +5,7 @@ import pytest
 
 import voicesep.autodiff as ad
 from voicesep.errors import ConfigurationError, InputError, NumericError
-from voicesep.model import (ModelConfig, count_parameters, forward,
-                            init_params, separate)
+from voicesep.model import ModelConfig, forward, init_params, separate
 
 SMALL = dict(n_filters=12, kernel_len=8, num_blocks=4, hidden=10,
              num_speakers=2)
@@ -15,6 +14,10 @@ SMALL = dict(n_filters=12, kernel_len=8, num_blocks=4, hidden=10,
 def small_model(seed=0, **over):
     cfg = ModelConfig(**{**SMALL, **over})
     return init_params(cfg, seed=seed)
+
+
+def count_parameters(model):
+    return sum(p.data.size for _, p in model.named_parameters())
 
 
 def test_init_deterministic_and_bounded():

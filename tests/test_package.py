@@ -1,15 +1,78 @@
-"""Package metadata."""
+"""Package metadata, the exported names, and a scan for dead code."""
 
+import ast
 import pathlib
 
 import pytest
 
 import voicesep
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PKG = pathlib.Path(voicesep.__file__).parent
+
 
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
-    root = pathlib.Path(__file__).resolve().parent.parent
-    with open(root / "pyproject.toml", "rb") as f:
+    with open(ROOT / "pyproject.toml", "rb") as f:
         meta = tomllib.load(f)
     assert voicesep.__version__ == meta["project"]["version"]
+
+
+def test_all_is_sorted_unique_and_what_init_imports():
+    """`__all__` counts as reached in the scan below, so it must export
+    exactly what `__init__` imports, and nothing twice."""
+    names = voicesep.__all__
+    assert names == sorted(set(names))
+    tree = ast.parse((PKG / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for stmt in tree.body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    assert set(names) == imported
+
+
+def referenced_names(node, own=frozenset()):
+    """Every Name, Attribute and import alias under `node`, except the
+    references a function, class or method makes to its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.asname or node.name
+    else:
+        name = None
+    if name is not None and name not in own:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from referenced_names(child, own)
+
+
+def definitions(tree, module):
+    """(qualified name, name) of every module-level function and class,
+    and every method and property of a module-level class, dunder
+    methods aside (the interpreter calls those)."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{stmt.name}", stmt.name
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield f"{module}.{stmt.name}.{item.name}", item.name
+
+
+def test_every_definition_has_a_caller():
+    """A function, class, method or property of the package that nothing
+    in the package or the benchmark harness refers to, and that is not
+    exported, is dead code. The scan matches names only, so it misses
+    dead code that shares its name with a live reference (a method
+    `validate` beside a called `validate`)."""
+    used = set(voicesep.__all__)
+    for path in [*PKG.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        used.update(referenced_names(ast.parse(path.read_text())))
+    dead = [qual for path in sorted(PKG.glob("*.py"))
+            for qual, name in definitions(ast.parse(path.read_text()),
+                                          path.stem)
+            if name not in used]
+    assert dead == []

@@ -48,8 +48,6 @@ def test_lr_schedule():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         trainer.TrainConfig(epochs=0).validate()
-    with pytest.raises(ConfigurationError):
-        trainer.TrainConfig(epochs=1, id_weight=-1.0).validate()
 
 
 def test_training_reduces_loss_and_is_deterministic():
