@@ -301,20 +301,6 @@ def log1p(x: Tensor) -> Tensor:
     return _finish(out, (x,), backward)
 
 
-def row_scale(x: Tensor, c: np.ndarray) -> Tensor:
-    """Scale row t of x (axis 0) by the constant c[t]."""
-    c = np.asarray(c, dtype=x.data.dtype)
-    if c.ndim != 1 or c.shape[0] != x.data.shape[0]:
-        raise DimensionError(
-            f"row_scale: axis 0 mismatch ({x.data.shape[0]} vs {c.shape})")
-    cb = c.reshape((-1,) + (1,) * (x.data.ndim - 1))
-    out = Tensor(x.data * cb)
-
-    def backward(g):
-        x.accumulate_grad(g * cb)
-    return _finish(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
@@ -515,9 +501,9 @@ def chunk_rows(x: Tensor, k: int) -> Tensor:
 
 
 def ola_rows(c: Tensor, out_len: int) -> Tensor:
-    """Overlap-add (R, K, ...) windows at hop K/2 back to (out_len, ...).
-    Pure sum; coverage normalization is the caller's job (see
-    dsp.overlap_add)."""
+    """Overlap-add (R, K, ...) windows at hop K/2 back to (out_len, ...):
+    each hop-slot gets window t's first half, then window t-1's second
+    half."""
     r, k = c.data.shape[0], c.data.shape[1]
     hop = k // 2
     if k % 2 != 0 or (r + 1) * hop != out_len:
@@ -584,78 +570,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # Convolutions
 # ---------------------------------------------------------------------------
-
-def conv1d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
-    """Valid 1-D convolution: (Cin, T) * (Cout, Cin, L) -> (Cout, T_out)."""
-    if x.data.ndim != 2:
-        raise DimensionError("conv1d: input must be (Cin, T)")
-    if kernel.data.ndim != 3:
-        raise DimensionError("conv1d: kernel must be (Cout, Cin, L)")
-    cin, t = x.data.shape
-    cout, kcin, L = kernel.data.shape
-    if kcin != cin:
-        raise DimensionError(
-            f"conv1d: channel axis mismatch (input Cin={cin}, kernel "
-            f"Cin={kcin})")
-    if t < L:
-        raise InputError(f"conv1d: input length {t} shorter than kernel {L}")
-    if stride <= 0 or (t - L) % stride != 0:
-        raise InputError(
-            f"conv1d: stride {stride} does not divide sliding range {t - L}")
-    _check_same_dtype(x, kernel, "conv1d")
-    t_out = (t - L) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, L, axis=1)
-    cols = np.ascontiguousarray(
-        win[:, ::stride].transpose(1, 0, 2).reshape(t_out, cin * L))
-    kmat = kernel.data.reshape(cout, cin * L)
-    out = Tensor(np.ascontiguousarray((cols @ kmat.T).T))
-
-    def backward(g):
-        # g: (Cout, T_out)
-        if kernel.requires_grad:
-            kernel.accumulate_grad((g @ cols).reshape(kernel.data.shape))
-        if x.requires_grad:
-            dcols = (g.T @ kmat).reshape(t_out, cin, L)
-            gx = np.zeros_like(x.data)
-            pos = (np.arange(t_out)[:, None] * stride + np.arange(L))
-            for c in range(cin):
-                np.add.at(gx[c], pos, dcols[:, c, :])
-            x.accumulate_grad(gx)
-    return _finish(out, (x, kernel), backward)
-
-
-def conv1d_transpose(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
-    """Transposed 1-D conv: (Cin, T) * (Cin, Cout, L) -> (Cout, (T-1)s+L)."""
-    if x.data.ndim != 2:
-        raise DimensionError("conv1d_transpose: input must be (Cin, T)")
-    cin, t = x.data.shape
-    kcin, cout, L = kernel.data.shape
-    if kcin != cin:
-        raise DimensionError(
-            f"conv1d_transpose: channel axis mismatch ({cin} vs {kcin})")
-    _check_same_dtype(x, kernel, "conv1d_transpose")
-    t_out = (t - 1) * stride + L
-    # y[t', cout, l] then scatter to t'*stride + l
-    y = np.tensordot(x.data.T, kernel.data, axes=([1], [0]))  # (T, Cout, L)
-    outd = np.zeros((cout, t_out), dtype=x.data.dtype)
-    base = np.arange(t) * stride
-    for ell in range(L):
-        outd[:, base + ell] += y[:, :, ell].T
-    out = Tensor(outd)
-
-    def backward(g):
-        # windows of g aligned with each input step: (T, Cout, L)
-        gw = np.lib.stride_tricks.as_strided(
-            g, shape=(t, cout, L),
-            strides=(stride * g.strides[1], g.strides[0], g.strides[1]))
-        if kernel.requires_grad:
-            kernel.accumulate_grad(
-                np.tensordot(x.data, gw, axes=([1], [0])))
-        if x.requires_grad:
-            x.accumulate_grad(
-                np.tensordot(gw, kernel.data, axes=([1, 2], [1, 2])).T)
-    return _finish(out, (x, kernel), backward)
-
 
 @functools.lru_cache(maxsize=32)
 def _conv2d_scatter_index(cin: int, h: int, w: int, kh: int,

@@ -4,8 +4,9 @@ Latent sequences are stored frames-first: a latent of length T' with N
 features is a (T', N) array; a chunked latent is (R, K, N). Waveforms are
 1-D float arrays in [-1, 1).
 
-Overlap-add divides out the per-frame chunk coverage, so
-overlap_add(chunk(z)) == z exactly (up to float rounding).
+chunk() pads one hop in front and at least one hop behind, so every
+latent frame lies in exactly two chunks: overlap_add() sums the chunks
+and halves, and overlap_add(chunk(z), T') == z exactly.
 """
 
 from __future__ import annotations
@@ -25,38 +26,6 @@ from .errors import ConfigurationError, InputError
 # Chunking
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChunkTensor:
-    """Overlapping chunks of a latent sequence plus the original latent
-    length; the chunk geometry follows from the data's shape."""
-    data: Tensor          # (R, K, N) or (R, K)
-    t_latent: int         # original latent length T'
-
-    @property
-    def r(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def k(self) -> int:
-        """Chunk length, even."""
-        return self.data.shape[1]
-
-    @property
-    def hop(self) -> int:
-        """Hop between chunk starts: always K/2 (50% overlap)."""
-        return self.k // 2
-
-    @property
-    def pad_front(self) -> int:
-        """One hop, so the first latent frame is covered twice."""
-        return self.hop
-
-    @property
-    def pad_back(self) -> int:
-        """Back padding that makes the padded length (R + 1) hops."""
-        return self.r * self.hop - self.t_latent
-
-
 def chunk_count(t_latent: int, k: int) -> int:
     """Number of chunks R for hop K/2: ceil(2*T'/K) + 1."""
     return math.ceil(2 * t_latent / k) + 1
@@ -68,10 +37,10 @@ def default_chunk_len(t_latent: int) -> int:
     return max(k, 2)
 
 
-def chunk(z: Tensor, k: int) -> ChunkTensor:
-    """Cut a (T', N) latent into R = ceil(2*T'/K)+1 chunks of length K at
-    hop K/2. A front pad of one hop plus a back pad round every frame's
-    coverage up so that un-chunking is exact.
+def chunk(z: Tensor, k: int) -> Tensor:
+    """Cut a (T', N) latent into (R, K, N): R = ceil(2*T'/K)+1 chunks of
+    length K at hop K/2, after a front pad of one hop and a back pad of
+    R*K/2 - T' >= K/2 frames.
     """
     if k <= 0 or k % 2 != 0:
         raise ConfigurationError(f"chunk: K must be positive and even, "
@@ -82,25 +51,16 @@ def chunk(z: Tensor, k: int) -> ChunkTensor:
         raise InputError("chunk: empty latent")
     hop = k // 2
     pad_back = chunk_count(t_latent, k) * hop - t_latent
-    data = ad.chunk_rows(ad.pad_rows(z, hop, pad_back), k)
-    return ChunkTensor(data=data, t_latent=t_latent)
+    return ad.chunk_rows(ad.pad_rows(z, hop, pad_back), k)
 
 
-def coverage(ct: ChunkTensor) -> np.ndarray:
-    """Number of chunks covering each padded frame position: two, except
-    one in the first and in the last hop."""
-    cov = np.full(ct.pad_front + ct.t_latent + ct.pad_back, 2.0)
-    cov[:ct.hop] = cov[-ct.hop:] = 1.0
-    return cov
-
-
-def overlap_add(ct: ChunkTensor) -> Tensor:
-    """Invert chunk(): sum chunks at their offsets, divide out coverage,
-    strip the padding. Exact inverse of chunk() by construction."""
-    padded = ct.pad_front + ct.t_latent + ct.pad_back
-    summed = ad.ola_rows(ct.data, padded)
-    normed = ad.row_scale(summed, 1.0 / coverage(ct))
-    return ad.slice_rows(normed, ct.pad_front, ct.pad_front + ct.t_latent)
+def overlap_add(c: Tensor, t_latent: int) -> Tensor:
+    """Invert chunk() for a latent of length T': sum the (R, K, ...)
+    chunks at their offsets, strip the padding and halve, since every
+    kept frame lies in exactly two chunks."""
+    r, hop = c.shape[0], c.shape[1] // 2
+    summed = ad.ola_rows(c, (r + 1) * hop)
+    return ad.scale(ad.slice_rows(summed, hop, hop + t_latent), 0.5)
 
 
 # ---------------------------------------------------------------------------

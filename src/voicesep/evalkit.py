@@ -21,10 +21,11 @@ def _f64(chans) -> list:
     return [np.asarray(ch, dtype=np.float64) for ch in chans]
 
 
-def align(targets, estimates) -> losses.PermutationAssignment:
-    """Optimal assignment of each target to a distinct estimate (no
-    gradients involved), by losses.best_permutation on the pairwise SI-SNR
-    matrix: deterministic, and the all-equal matrix gives the identity.
+def align(targets, estimates) -> tuple:
+    """(pairwise SI-SNR matrix, optimal assignment) of targets to distinct
+    estimates (no gradients involved). The assignment comes from
+    losses.best_permutation: deterministic, and the all-equal matrix gives
+    the identity; target i maps to estimate perm[i].
 
     Estimates may outnumber targets (the extra channels stay unassigned);
     fewer estimates than targets raise InputError.
@@ -33,9 +34,7 @@ def align(targets, estimates) -> losses.PermutationAssignment:
         raise InputError(f"align: {len(estimates)} channels for "
                          f"{len(targets)} sources")
     mat = losses.pairwise_matrix(_f64(targets), _f64(estimates))
-    perm = losses.best_permutation(mat)
-    score = float(np.mean([mat[i, perm[i]] for i in range(len(perm))]))
-    return losses.PermutationAssignment(perm=perm, score=score)
+    return mat, losses.best_permutation(mat)
 
 
 def si_snri(targets, estimates, mixture) -> float:
@@ -53,10 +52,14 @@ def si_snri(targets, estimates, mixture) -> float:
 
 
 def aligned_si_snri(targets, estimates, mixture) -> tuple:
-    """(SI-SNRi at the optimal assignment, that assignment); see align."""
-    assign = align(targets, estimates)
-    ordered = [estimates[assign.perm[i]] for i in range(len(targets))]
-    return si_snri(targets, ordered, mixture), assign.perm
+    """(SI-SNRi at the optimal assignment, that assignment); see align.
+    Each target's SI-SNR is the alignment matrix's cell: only the
+    mixture's score is computed here."""
+    mat, perm = align(targets, estimates)
+    mix = np.asarray(mixture, dtype=np.float64)
+    vals = [mat[i, perm[i]] - losses.si_snr(t, mix).item()
+            for i, t in enumerate(_f64(targets))]
+    return float(np.mean(vals)), perm
 
 
 def activity_level(ch: np.ndarray) -> float:

@@ -12,7 +12,7 @@ candidate waveforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
@@ -120,7 +120,10 @@ def init_params(config: ModelConfig, seed: int) -> SeparatorModel:
 
 
 def encode(model: SeparatorModel, x) -> Tensor:
-    """Waveform (T,) -> nonnegative latent (T', N), T' = 2T/L - 1."""
+    """Waveform (T,) -> nonnegative latent (T', N), T' = 2T/L - 1.
+
+    The length-L, stride-L/2 convolution: the input cut into length-L
+    frames at hop L/2, times the kernel as an (L, N) matrix."""
     L = model.config.kernel_len
     x = ad.as_tensor(x)
     if x.data.ndim != 1:
@@ -132,19 +135,18 @@ def encode(model: SeparatorModel, x) -> Tensor:
     if t % (L // 2) != 0:
         raise InputError(
             f"encode: input length {t} not divisible by stride {L // 2}")
-    x2 = ad.reshape(x, (1, t))
-    z = ad.conv1d(x2, model.params["encoder.kernel"], L // 2)
-    z = ad.relu(z)
-    return ad.transpose(z, (1, 0))
+    n = model.config.n_filters
+    w = ad.transpose(ad.reshape(model.params["encoder.kernel"], (n, L)),
+                     (1, 0))
+    return ad.relu(ad.linear(ad.chunk_rows(x, L), w))
 
 
-def mulcat_block(model: SeparatorModel, ct: dsp.ChunkTensor,
-                 index: int) -> dsp.ChunkTensor:
-    """Apply block `index` (1-based). Odd = along R, even = along K."""
+def mulcat_block(model: SeparatorModel, v: Tensor, index: int) -> Tensor:
+    """Apply block `index` (1-based) to (R, K, N) chunks. Odd = along R,
+    even = along K."""
     if not 1 <= index <= model.config.num_blocks:
         raise ConfigurationError(f"block index {index} outside 1.."
                                  f"{model.config.num_blocks}")
-    v = ct.data  # (R, K, N)
     along_r = index % 2 == 1
     seqs = ad.transpose(v, (1, 0, 2)) if along_r else v  # (B, S, N)
     n_lstms = 2 if model.config.gating else 1
@@ -153,49 +155,43 @@ def mulcat_block(model: SeparatorModel, ct: dsp.ChunkTensor,
     cat = ad.concat([gated, seqs], axis=2)  # (B, S, 2H + N)
     proj = ad.linear(cat, model.params[f"block{index}.proj.w"],
                      model.params[f"block{index}.proj.b"])
-    if along_r:
-        proj = ad.transpose(proj, (1, 0, 2))
-    return replace(ct, data=proj)
+    return ad.transpose(proj, (1, 0, 2)) if along_r else proj
 
 
-def decode_head(model: SeparatorModel, ct: dsp.ChunkTensor,
-                out_len: int) -> list:
-    """Shared PReLU + 1x1 decoder + overlap-add + transposed conv.
+def decode_head(model: SeparatorModel, v: Tensor, t_latent: int) -> list:
+    """Shared PReLU + 1x1 decoder, overlap-add of the chunks back to T'
+    latent frames, then the wave decoder: each frame becomes L samples,
+    overlap-added at hop L/2.
 
-    Returns C waveform tensors of length out_len. The same PReLU slope and
-    decoder weights serve every scale.
+    Returns C waveform tensors of length (T'+1)*L/2. The same PReLU slope
+    and decoder weights serve every scale.
     """
     cfg = model.config
-    u = ad.prelu(ct.data, model.params["prelu.slope"])
+    n, L = cfg.n_filters, cfg.kernel_len
+    u = ad.prelu(v, model.params["prelu.slope"])
     y = ad.linear(u, model.params["decoder.w"], model.params["decoder.b"])
-    channels = ad.split(y, [cfg.n_filters] * cfg.num_speakers, axis=2)
+    channels = ad.split(y, [n] * cfg.num_speakers, axis=2)
+    w = ad.reshape(model.params["wavedec.kernel"], (n, L))
     outs = []
     for ch in channels:
-        lat = dsp.overlap_add(replace(ct, data=ch))     # (T', N)
-        lat = ad.transpose(lat, (1, 0))                 # (N, T')
-        wav = ad.conv1d_transpose(lat, model.params["wavedec.kernel"],
-                                  cfg.kernel_len // 2)  # (1, T)
-        if wav.shape[1] != out_len:
-            raise ConfigurationError(
-                f"decode_head: reconstructed length {wav.shape[1]} != "
-                f"input length {out_len}")
-        outs.append(ad.reshape(wav, (out_len,)))
+        lat = dsp.overlap_add(ch, t_latent)              # (T', N)
+        frames = ad.linear(lat, w)                       # (T', L)
+        outs.append(ad.ola_rows(frames, (t_latent + 1) * L // 2))
     return outs
 
 
 def forward(model: SeparatorModel, x, multiloss: bool = True) -> list:
     """Full separator pass: returns b/2 groups of C waveform tensors
     (or only the final group when multiloss=False)."""
-    x = ad.as_tensor(x)
-    t = x.shape[0]
     z = encode(model, x)
-    k = model.config.chunk_len or dsp.default_chunk_len(z.shape[0])
-    ct = dsp.chunk(z, k)
+    t_latent = z.shape[0]
+    k = model.config.chunk_len or dsp.default_chunk_len(t_latent)
+    v = dsp.chunk(z, k)
     groups = []
     for i in range(1, model.config.num_blocks + 1):
-        ct = mulcat_block(model, ct, i)
+        v = mulcat_block(model, v, i)
         if i % 2 == 0 and (multiloss or i == model.config.num_blocks):
-            groups.append(decode_head(model, ct, t))
+            groups.append(decode_head(model, v, t_latent))
     return groups
 
 

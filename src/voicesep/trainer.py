@@ -81,6 +81,10 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
     cfg.validate()
     if cfg.idloss and embedder is None:
         raise ConfigurationError("idloss flag set but no embedder given")
+    if cfg.idloss and embedder.config.sample_rate != model.config.sample_rate:
+        raise InputError(
+            f"train: embedder runs at {embedder.config.sample_rate} Hz, "
+            f"model at {model.config.sample_rate} Hz")
     c = model.config.num_speakers
     for entry in train_entries:
         if len(entry.sources) != c:

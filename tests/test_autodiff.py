@@ -72,12 +72,6 @@ def test_reductions_grads():
     check(lambda: weighted_sum(ad.mean_axes(x, (1, 2))), [("x", x)])
 
 
-def test_row_scale_grads():
-    x = t64((6, 3))
-    c = RNG.uniform(0.5, 2.0, 6)
-    check(lambda: weighted_sum(ad.row_scale(x, c)), [("x", x)])
-
-
 # --- shape ops ---
 
 def test_shape_ops_grads():
@@ -126,24 +120,6 @@ def test_matmul_linear_grads():
     check(lambda: weighted_sum(ad.linear(x, w, bias)),
           [("x", x), ("w", w), ("bias", bias)])
     check(lambda: weighted_sum(ad.linear(x, w)), [("x", x), ("w", w)])
-
-
-def test_conv1d_grads():
-    x, k = t64((2, 24)), t64((3, 2, 4))
-    check(lambda: weighted_sum(ad.conv1d(x, k, stride=2)),
-          [("x", x), ("k", k)])
-
-
-def test_conv1d_transpose_grads():
-    x, k = t64((3, 9)), t64((3, 1, 4))
-    check(lambda: weighted_sum(ad.conv1d_transpose(x, k, stride=2)),
-          [("x", x), ("k", k)])
-
-
-def test_conv1d_transpose_inverts_length():
-    x, k = t64((2, 11)), t64((2, 1, 8))
-    out = ad.conv1d_transpose(x, k, stride=4)
-    assert out.data.shape == (1, (11 - 1) * 4 + 8)
 
 
 def test_conv2d_avgpool_grads():
@@ -326,12 +302,6 @@ def test_float32_ops_stay_float32():
     x.requires_grad = True
     assert ad.relu(x).data.dtype == np.float32
     assert ad.tmean(x).data.dtype == np.float32
-
-
-def test_conv1d_stride_must_divide():
-    x, k = t64((1, 1, 11)), t64((2, 1, 4))
-    with pytest.raises(DimensionError):
-        ad.conv1d(x, k, stride=2)
 
 
 def test_bilstm_rejects_bad_shapes():

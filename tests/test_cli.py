@@ -10,6 +10,7 @@ import pytest
 from voicesep import checkpoint as ckpt
 from voicesep import data as dataio
 from voicesep.cli import main
+from voicesep.embedder import EmbedderConfig, init_embedder
 from voicesep.model import ModelConfig, init_params
 
 SMALL_FLAGS = ["--filters", "8", "--hidden", "8", "--blocks", "2",
@@ -173,6 +174,22 @@ def test_train_embedder_corpus_at_other_rate_exits_3(tmp_path, corpus,
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("DataError") and "spk99_u000.wav" in err
+
+
+def test_train_embedder_at_other_rate_exits_3(tmp_path, corpus, capsys):
+    """An --embedder checkpoint at 16 kHz for an 8 kHz model is refused
+    before the first step, and no checkpoint is written."""
+    emb = tmp_path / "emb16k.ckpt"
+    ckpt.save_embedder(emb, init_embedder(
+        EmbedderConfig(sample_rate=16000, n_classes=2), 0), seed=0)
+    out = tmp_path / "tr"
+    code = main(["train", "--out", str(out), "--data", corpus,
+                 "--epochs", "1", "--segment", "0.25", "--embedder",
+                 str(emb), *SMALL_FLAGS])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("InputError") and "16000 Hz" in err
+    assert not list(out.glob("*.ckpt"))
 
 
 def test_tta_command(tmp_path, corpus, trained):

@@ -1,11 +1,21 @@
-"""Separator wiring: init, shapes, gating ablation, encode constraints."""
+"""Separator wiring: init, shapes, gating ablation, encode constraints,
+and the encoder and wave decoder against the convolutions they replace.
+
+`reference_conv1d` and `reference_conv1d_transpose` are the forward math
+of the earlier convolution ops, kept as plain-numpy oracles: `encode` is
+the stride-L/2 convolution and the wave decoder its transpose, computed
+by framing and overlap-add (`chunk_rows`, `ola_rows`) around `linear`.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import voicesep.autodiff as ad
+from voicesep import dsp
 from voicesep.errors import ConfigurationError, InputError, NumericError
-from voicesep.model import ModelConfig, forward, init_params, separate
+from voicesep.model import (ModelConfig, decode_head, encode, forward,
+                            init_params, separate)
 
 SMALL = dict(n_filters=12, kernel_len=8, num_blocks=4, hidden=10,
              num_speakers=2)
@@ -163,3 +173,109 @@ def test_channel_order_is_arbitrary_convention():
     _, assign = losses.upit([si.astype(np.float32) for si in s],
                             [o for o in outs])
     assign.validate()  # perm is a bijection whichever order appeared
+
+
+# --- the encoder and wave decoder against the convolutions ---
+
+def reference_conv1d(x, kernel, stride):
+    """Valid 1-D convolution: (Cin, T) * (Cout, Cin, L) -> (Cout, T_out)."""
+    cin, t = x.shape
+    cout, _, L = kernel.shape
+    t_out = (t - L) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, L, axis=1)
+    cols = np.ascontiguousarray(
+        win[:, ::stride].transpose(1, 0, 2).reshape(t_out, cin * L))
+    kmat = kernel.reshape(cout, cin * L)
+    return np.ascontiguousarray((cols @ kmat.T).T)
+
+
+def reference_conv1d_transpose(x, kernel, stride):
+    """Transposed 1-D conv: (Cin, T) * (Cin, Cout, L) -> (Cout, (T-1)s+L)."""
+    t = x.shape[1]
+    _, cout, L = kernel.shape
+    y = np.tensordot(x.T, kernel, axes=([1], [0]))  # (T, Cout, L)
+    out = np.zeros((cout, (t - 1) * stride + L), dtype=x.dtype)
+    base = np.arange(t) * stride
+    for ell in range(L):
+        out[:, base + ell] += y[:, :, ell].T
+    return out
+
+
+@pytest.mark.parametrize("n", [12, 128])
+def test_encode_is_the_strided_convolution(n):
+    m = small_model(n_filters=n)
+    x = np.random.default_rng(8).standard_normal(4000).astype(np.float32)
+    z = encode(m, ad.Tensor(x))
+    conv = reference_conv1d(x[None], m.params["encoder.kernel"].data, 4)
+    assert z.data.shape == (999, n)
+    assert np.array_equal(z.data, np.maximum(conv, 0).T)
+
+
+@pytest.mark.parametrize("n,rtol", [(128, 0.0), (32, 1e-6)])
+def test_decode_head_is_the_transposed_convolution(n, rtol):
+    """Bit-identical at N=128. At N=32 the decoder GEMM's C-ordered left
+    operand (the convolution read it transposed) moves outputs by up to
+    about 2.1e-7 of the output's peak; near-zero outputs move by more
+    than 1e-6 of their own size."""
+    m = small_model(n_filters=n, num_speakers=3)
+    rng = np.random.default_rng(9)
+    t_latent, k = 999, 44
+    v = ad.Tensor(rng.standard_normal((dsp.chunk_count(t_latent, k), k, n))
+                  .astype(np.float32))
+    outs = decode_head(m, v, t_latent)
+    # the head up to the latent, as decode_head computes it
+    u = ad.prelu(v, m.params["prelu.slope"])
+    y = ad.linear(u, m.params["decoder.w"], m.params["decoder.b"])
+    kernel = m.params["wavedec.kernel"].data
+    for out, ch in zip(outs, ad.split(y, [n] * 3, axis=2), strict=True):
+        lat = dsp.overlap_add(ch, t_latent).data           # (T', N)
+        want = reference_conv1d_transpose(np.ascontiguousarray(lat.T),
+                                          kernel, 4)[0]
+        assert out.data.shape == want.shape == (4000,)
+        if rtol:
+            np.testing.assert_allclose(out.data, want, rtol=rtol,
+                                       atol=rtol * np.abs(want).max())
+        else:
+            assert np.array_equal(out.data, want)
+
+
+def test_encode_decode_head_kernel_gradients():
+    """float64 gradients of both kernels through encode, chunking and
+    decode_head."""
+    m = small_model(n_filters=6, num_speakers=2)
+    for p in m.params.values():
+        p.data = p.data.astype(np.float64)
+    rng = np.random.default_rng(10)
+    x = ad.Tensor(rng.standard_normal(96))
+    w = [ad.Tensor(rng.standard_normal(96)) for _ in range(2)]
+
+    def f():
+        z = encode(m, x)
+        outs = decode_head(m, dsp.chunk(z, 6), z.shape[0])
+        return ad.add(ad.dot(outs[0], w[0]), ad.dot(outs[1], w[1]))
+    rep = ad.grad_check_many(
+        f, [("encoder.kernel", m.params["encoder.kernel"]),
+            ("wavedec.kernel", m.params["wavedec.kernel"])])
+    assert rep.max_rel_err < 1e-4, rep.worst[:3]
+
+
+TINY = {L: init_params(ModelConfig(n_filters=4, kernel_len=L, num_blocks=2,
+                                   hidden=3, num_speakers=2), seed=0)
+        for L in (2, 4, 8)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), L=st.sampled_from(sorted(TINY)))
+def test_separate_accepts_any_length_it_can_encode(n, L):
+    """C finite channels of exactly the input's length, or InputError
+    exactly when the stride-padded input is shorter than one kernel."""
+    x = np.random.default_rng(n).uniform(-0.5, 0.5, n).astype(np.float32)
+    padded = n + (-n % (L // 2))
+    if padded < L:
+        with pytest.raises(InputError):
+            separate(TINY[L], x)
+        return
+    outs = separate(TINY[L], x)
+    assert len(outs) == 2
+    for ch in outs:
+        assert ch.shape == (n,) and np.isfinite(ch).all()

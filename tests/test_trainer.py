@@ -8,6 +8,7 @@ import pytest
 from voicesep import checkpoint as ckpt
 from voicesep import data as dataio
 from voicesep import trainer
+from voicesep.embedder import EmbedderConfig, init_embedder
 from voicesep.errors import ConfigurationError, InputError
 from voicesep.model import ModelConfig, init_params
 
@@ -113,6 +114,14 @@ def test_source_count_mismatch_rejected():
 def test_idloss_requires_embedder():
     with pytest.raises(ConfigurationError, match="embedder"):
         trainer.train(init_params(SMALL, seed=0), None, tiny_entries(),
+                      small_cfg(idloss=True))
+
+
+def test_idloss_embedder_must_run_at_the_model_rate():
+    """A 16 kHz embedder would cut 8 kHz targets into mis-sized windows."""
+    emb = init_embedder(EmbedderConfig(sample_rate=16000, n_classes=2), 0)
+    with pytest.raises(InputError, match="16000 Hz.*8000 Hz"):
+        trainer.train(init_params(SMALL, seed=0), emb, tiny_entries(),
                       small_cfg(idloss=True))
 
 
