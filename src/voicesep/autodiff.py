@@ -164,8 +164,8 @@ def _check_same_dtype(a: Tensor, b: Tensor, opname: str) -> None:
                          f"{b.data.dtype}; convert explicitly")
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +248,6 @@ def smul(x: Tensor, s: Tensor) -> Tensor:
     return _finish(out, (x, s), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0))
-
-    def backward(g):
-        x.accumulate_grad(g * (x.data > 0))
-    return _finish(out, (x,), backward)
-
-
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """PReLU with a single learnable slope shared over the whole tensor."""
     if slope.data.size != 1:
@@ -277,10 +269,9 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 def clamp_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor); gradient passes only where x > floor."""
     out = Tensor(np.maximum(x.data, x.data.dtype.type(floor)))
-    mask = x.data > floor
 
     def backward(g):
-        x.accumulate_grad(g * mask)
+        x.accumulate_grad(g * (x.data > floor))
     return _finish(out, (x,), backward)
 
 
@@ -304,15 +295,6 @@ def log1p(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = Tensor(np.asarray(np.sum(x.data) / n).reshape(()))
-
-    def backward(g):
-        x.accumulate_grad(np.full_like(x.data, g.reshape(()) / n))
-    return _finish(out, (x,), backward)
-
 
 def mean_axes(x: Tensor, axes: tuple) -> Tensor:
     axes = tuple(axes)
@@ -401,33 +383,19 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _finish(out, tuple(tensors), backward)
 
 
-def split(x: Tensor, sizes: Sequence[int], axis: int) -> list:
-    if sum(sizes) != x.data.shape[axis]:
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Contiguous copy of the range [start, stop) along one axis."""
+    n = x.data.shape[axis]
+    if not 0 <= start <= stop <= n:
         raise DimensionError(
-            f"split: sizes sum to {sum(sizes)} but axis {axis} has "
-            f"{x.data.shape[axis]}")
-    outs = []
-    offsets = np.cumsum([0] + list(sizes))
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        idx = [slice(None)] * x.data.ndim
-        idx[axis] = slice(int(lo), int(hi))
-        idx = tuple(idx)
-        piece = Tensor(np.ascontiguousarray(x.data[idx]))
-
-        def backward(g, idx=idx):
-            gx = np.zeros_like(x.data)
-            gx[idx] = g
-            x.accumulate_grad(gx)
-        outs.append(_finish(piece, (x,), backward))
-    return outs
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(np.ascontiguousarray(x.data[start:stop]))
+            f"slice_axis: range [{start}, {stop}) outside axis {axis} of "
+            f"length {n}")
+    idx = (slice(None),) * axis + (slice(start, stop),)
+    out = Tensor(np.ascontiguousarray(x.data[idx]))
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[start:stop] = g
+        gx[idx] = g
         x.accumulate_grad(gx)
     return _finish(out, (x,), backward)
 
@@ -522,24 +490,6 @@ def ola_rows(c: Tensor, out_len: int) -> Tensor:
 # Linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul: both operands must be rank 2")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul: inner axis mismatch ({a.data.shape[1]} vs "
-            f"{b.data.shape[0]})")
-    _check_same_dtype(a, b, "matmul")
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-    return _finish(out, (a, b), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Affine map over the last axis: (..., Fin) @ (Fin, Fout) + b."""
     fin, fout = w.data.shape
@@ -618,19 +568,20 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     return _finish(out, (x, kernel), backward)
 
 
-def avgpool2d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping average pooling; trailing rows/cols are dropped."""
+def avgpool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 average pooling; a trailing odd row or column
+    is dropped."""
     c, h, w = x.data.shape
-    ho, wo = h // size, w // size
+    ho, wo = h // 2, w // 2
     if ho == 0 or wo == 0:
         raise InputError("avgpool2d: input smaller than pool size")
-    trimmed = x.data[:, :ho * size, :wo * size]
-    out = Tensor(trimmed.reshape(c, ho, size, wo, size).mean(axis=(2, 4)))
+    trimmed = x.data[:, :ho * 2, :wo * 2]
+    out = Tensor(trimmed.reshape(c, ho, 2, wo, 2).mean(axis=(2, 4)))
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[:, :ho * size, :wo * size] = np.repeat(
-            np.repeat(g, size, axis=1), size, axis=2) / (size * size)
+        gx[:, :ho * 2, :wo * 2] = np.repeat(np.repeat(g, 2, axis=1), 2,
+                                            axis=2) / 4
         x.accumulate_grad(gx)
     return _finish(out, (x,), backward)
 

@@ -60,7 +60,7 @@ def overlap_add(c: Tensor, t_latent: int) -> Tensor:
     kept frame lies in exactly two chunks."""
     r, hop = c.shape[0], c.shape[1] // 2
     summed = ad.ola_rows(c, (r + 1) * hop)
-    return ad.scale(ad.slice_rows(summed, hop, hop + t_latent), 0.5)
+    return ad.scale(ad.slice_axis(summed, 0, hop, hop + t_latent), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,8 @@ def power_spectrogram(x: Tensor, win_len: int, hop: int,
                       nfft: int) -> Tensor:
     """|STFT|^2 of a 1-D waveform tensor, differentiable w.r.t. x.
 
-    The DFT is folded into two constant matmuls (cosine/sine), so the whole
-    path is just gather + matmul on the tape. Matches stft() framing.
+    The DFT is folded into two constant linear maps (cosine/sine), so the
+    whole path is just gather + linear on the tape. Matches stft() framing.
     """
     _check_stft_sizes(win_len, hop, nfft)
     if x.data.ndim != 1:
@@ -178,6 +178,6 @@ def power_spectrogram(x: Tensor, win_len: int, hop: int,
     frames = ad.gather_rows(x, idx)  # (J, win_len)
     cos_m, sin_m = _dft_mats(win_len, nfft)
     dt = x.data.dtype
-    re = ad.matmul(frames, Tensor(cos_m, dtype=dt))
-    im = ad.matmul(frames, Tensor(sin_m, dtype=dt))
+    re = ad.linear(frames, Tensor(cos_m, dtype=dt))
+    im = ad.linear(frames, Tensor(sin_m, dtype=dt))
     return ad.add(ad.mul(re, re), ad.mul(im, im))  # (J, n_bins)

@@ -96,13 +96,13 @@ class EmbedderModel:
         h = self.features(clip)
         for stage in range(len(cfg.conv_channels)):
             h = ad.conv2d(h, self.params[f"conv{stage}.kernel"])
-            h = ad.relu(h)
-            h = ad.avgpool2d(h, 2)
+            h = ad.clamp_min(h, 0.0)
+            h = ad.avgpool2d(h)
         pooled = ad.mean_axes(h, (1, 2))       # (C_last,)
         pooled = ad.reshape(pooled, (1, pooled.shape[0]))
         emb = ad.linear(pooled, self.params["embed.w"],
                         self.params["embed.b"])
-        emb = ad.relu(emb)
+        emb = ad.clamp_min(emb, 0.0)
         return ad.reshape(emb, (self.config.embed_dim,))
 
     def logits_tensor(self, clip: Tensor) -> Tensor:

@@ -78,27 +78,44 @@ class SelectionReport:
     levels: dict = field(default_factory=dict)      # C -> per-channel dB
 
 
+def _contiguous_counts(models: dict, who: str) -> list:
+    """The cascade's C values in ascending order; ConfigurationError
+    unless they form a non-empty contiguous range."""
+    cs = sorted(models)
+    if not cs or cs != list(range(cs[0], cs[-1] + 1)):
+        raise ConfigurationError(
+            f"{who}: model set {cs} is not a contiguous C range")
+    return cs
+
+
+def _descend(cs: list, levels, threshold: float) -> int:
+    """The count selection rule: go down from the largest C and stop at
+    the first C whose channel levels (levels(C), asked for only on the
+    way down) are all at or above the threshold, or else at the
+    smallest C."""
+    for c in reversed(cs):
+        if all(lv >= threshold for lv in levels(c)):
+            return c
+    return cs[0]
+
+
 def select_count(x, models: dict, threshold: float):
     """Descend from the largest-C model while any channel looks silent.
 
     models: {C: SeparatorModel}, contiguous C range. Returns
     (SelectionReport, channels of the accepted model).
     """
-    cs = sorted(models)
-    if cs != list(range(cs[0], cs[-1] + 1)):
-        raise ConfigurationError(
-            f"select_count: model set {cs} is not a contiguous C range")
+    cs = _contiguous_counts(models, "select_count")
     report = SelectionReport(chosen_c=cs[-1], threshold=float(threshold))
-    chans = None
-    for c in reversed(cs):
-        chans = separator.separate(models[c], x)
-        levels = [activity_level(ch) for ch in chans]
+    chans = {}
+
+    def levels(c):
+        chans[c] = separator.separate(models[c], x)
         report.path.append(c)
-        report.levels[c] = levels
-        report.chosen_c = c
-        if all(lv >= threshold for lv in levels):
-            break
-    return report, chans
+        report.levels[c] = [activity_level(ch) for ch in chans[c]]
+        return report.levels[c]
+    report.chosen_c = _descend(cs, levels, threshold)
+    return report, chans[report.chosen_c]
 
 
 def calibrate_threshold(samples, models, grid=None) -> float:
@@ -107,6 +124,7 @@ def calibrate_threshold(samples, models, grid=None) -> float:
     samples: iterable of (mixture, true C). Deterministic: ties go to the
     lowest grid value. Separations are computed once per (sample, model).
     """
+    cs = _contiguous_counts(models, "calibrate_threshold")
     samples = list(samples)
     if not samples:
         raise DataError("calibrate_threshold: empty validation set")
@@ -120,17 +138,10 @@ def calibrate_threshold(samples, models, grid=None) -> float:
                      for ch in separator.separate(m, x)]
                  for c, m in models.items()}
         level_sets.append((per_c, true_c))
-    cs = sorted(models)
     best_thr, best_acc = grid[0], -1.0
     for thr in grid:
-        hits = 0
-        for per_c, true_c in level_sets:
-            chosen = cs[0]
-            for c in reversed(cs):
-                chosen = c
-                if all(lv >= thr for lv in per_c[c]):
-                    break
-            hits += chosen == true_c
+        hits = sum(_descend(cs, per_c.__getitem__, thr) == true_c
+                   for per_c, true_c in level_sets)
         acc = hits / len(level_sets)
         if acc > best_acc:
             best_thr, best_acc = thr, acc
@@ -335,8 +346,7 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
         value, perm = aligned_si_snri(refs, ests, entry.mixture)
         clip = int(round(SWITCH_CLIP_S * data.SAMPLE_RATE))
         ordered = [ests[perm[i]] for i in range(len(refs))]
-        switched = (flag_switch(refs, ordered, clip)
-                    if len(refs[0]) >= 2 * clip else False)
+        switched = flag_switch(refs, ordered, clip)
         report.samples.append(SampleResult(
             index=idx, si_snri=value, perm=perm, switched=switched,
             true_c=true_c, selected_c=selected_c))

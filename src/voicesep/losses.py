@@ -163,9 +163,9 @@ def id_loss(targets, estimates, perm: PermutationAssignment, embedder):
         e = ad.as_tensor(estimates[perm.perm[i]])
         for j in range(n_seg):
             lo, hi = j * seg, (j + 1) * seg
-            g_ref = embedder.embed_tensor(ad.slice_rows(s, lo, hi))
-            g_est = embedder.embed_tensor(ad.slice_rows(e, lo, hi))
+            g_ref = embedder.embed_tensor(ad.slice_axis(s, 0, lo, hi))
+            g_est = embedder.embed_tensor(ad.slice_axis(e, 0, lo, hi))
             diff = ad.sub(g_est, g_ref.detach())
-            mse = ad.tmean(ad.mul(diff, diff))
+            mse = ad.mean_axes(ad.mul(diff, diff), (0,))
             total = mse if total is None else ad.add(total, mse)
     return ad.scale(total, 1.0 / (c * n_seg))

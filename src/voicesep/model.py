@@ -73,10 +73,6 @@ class SeparatorModel:
         for _, p in self.named_parameters():
             p.requires_grad = flag
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
     def lstm_params(self, block: int, which: int) -> LSTMParams:
         pre = f"block{block}.lstm{which}."
         return LSTMParams(wx=self.params[pre + "wx"],
@@ -138,7 +134,7 @@ def encode(model: SeparatorModel, x) -> Tensor:
     n = model.config.n_filters
     w = ad.transpose(ad.reshape(model.params["encoder.kernel"], (n, L)),
                      (1, 0))
-    return ad.relu(ad.linear(ad.chunk_rows(x, L), w))
+    return ad.clamp_min(ad.linear(ad.chunk_rows(x, L), w), 0.0)
 
 
 def mulcat_block(model: SeparatorModel, v: Tensor, index: int) -> Tensor:
@@ -170,7 +166,8 @@ def decode_head(model: SeparatorModel, v: Tensor, t_latent: int) -> list:
     n, L = cfg.n_filters, cfg.kernel_len
     u = ad.prelu(v, model.params["prelu.slope"])
     y = ad.linear(u, model.params["decoder.w"], model.params["decoder.b"])
-    channels = ad.split(y, [n] * cfg.num_speakers, axis=2)
+    channels = [ad.slice_axis(y, 2, i * n, (i + 1) * n)
+                for i in range(cfg.num_speakers)]
     w = ad.reshape(model.params["wavedec.kernel"], (n, L))
     outs = []
     for ch in channels:

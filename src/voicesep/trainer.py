@@ -152,7 +152,7 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
                 tape.backward(total)
             clip_global_norm(model.named_parameters(), CLIP_NORM)
             opt.step()
-            model.zero_grad()
+            opt.zero_grad()
             epoch_losses.append(value)
         val = (validate(model, valid_entries)
                if valid_entries is not None else float("nan"))

@@ -6,6 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from voicesep import checkpoint as ckpt
 from voicesep import data as dataio
@@ -78,11 +79,19 @@ def test_separate_keeps_length_off_the_stride(tmp_path, trained):
         assert rate == 8000 and len(ch) == 4001
 
 
-def test_sample_rate_mismatch_exits_3(tmp_path, trained):
-    """A 16 kHz WAV given to an 8 kHz checkpoint is refused, and no
-    channel file is written."""
-    wav = tmp_path / "wide.wav"
-    dataio.wav_write(wav, np.zeros(4001), 16000)
+@settings(max_examples=20, deadline=None)
+@given(rate=st.integers(1, 384000).filter(lambda r: r != 8000))
+@example(rate=1)
+@example(rate=7999)
+@example(rate=8001)
+@example(rate=16000)
+@example(rate=44100)
+def test_sample_rate_mismatch_exits_3(tmp_path_factory, trained, rate):
+    """A WAV at any rate but the model's 8 kHz is refused by every
+    command that reads one, and no channel file is written."""
+    tmp_path = tmp_path_factory.mktemp("rate")
+    wav = tmp_path / "other.wav"
+    dataio.wav_write(wav, np.zeros(4001), rate)
     ckpt_path = os.path.join(trained, "best.ckpt")
     for cmd, extra in (("separate", ["--checkpoint", ckpt_path]),
                        ("tta", ["--checkpoint", ckpt_path]),

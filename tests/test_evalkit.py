@@ -96,9 +96,9 @@ def test_activity_levels():
 # --- count selection ---
 
 def test_select_count_requires_contiguous_range():
-    models = {2: small_model(2), 4: small_model(4)}
-    with pytest.raises(ConfigurationError):
-        evalkit.select_count(np.zeros(400, np.float32), models, -40.0)
+    for models in ({2: small_model(2), 4: small_model(4)}, {}):
+        with pytest.raises(ConfigurationError):
+            evalkit.select_count(np.zeros(400, np.float32), models, -40.0)
 
 
 def test_select_count_descends_and_reports():
@@ -126,6 +126,19 @@ def test_calibrate_threshold_prefers_lowest_tie():
     assert thr == -70.0
     with pytest.raises(DataError):
         evalkit.calibrate_threshold([], models)
+
+
+def test_calibrate_threshold_refuses_gapped_cascade_before_separating(
+        monkeypatch):
+    calls = []
+    separate = evalkit.separator.separate
+    monkeypatch.setattr(evalkit.separator, "separate",
+                        lambda m, x: calls.append(m) or separate(m, x))
+    m = small_model(2)
+    x = np.zeros(400, np.float32)
+    with pytest.raises(ConfigurationError, match="contiguous"):
+        evalkit.calibrate_threshold([(x, 2)], {2: m, 4: m})
+    assert calls == []
 
 
 # --- test-time augmentation ---
@@ -163,6 +176,11 @@ def test_flag_switch_midpoint_swap():
                np.concatenate([b[:n // 2], a[n // 2:]])]
     assert evalkit.flag_switch([a, b], swapped, clip)
     assert not evalkit.flag_switch([a, b], [a.copy(), b.copy()], clip)
+    # 1.5 clips hold one whole sub-clip: nothing to switch between
+    m = 3 * clip // 2
+    short = [np.concatenate([a[:clip], b[clip:m]]),
+             np.concatenate([b[:clip], a[clip:m]])]
+    assert not evalkit.flag_switch([a[:m], b[:m]], short, clip)
 
 
 def test_flag_switch_gates_silent_targets():
