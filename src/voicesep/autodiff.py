@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, InputError, UsageError
+from .errors import (ConfigurationError, DegenerateTargetError,
+                     DimensionError, InputError, UsageError)
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -211,41 +212,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "div")
-    _check_same_dtype(a, b, "div")
-    out = Tensor(a.data / b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / b.data)
-        if b.requires_grad:
-            b.accumulate_grad(-g * a.data / (b.data * b.data))
-    return _finish(out, (a, b), backward)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * x.data.dtype.type(c))
 
     def backward(g):
         x.accumulate_grad(g * x.data.dtype.type(c))
     return _finish(out, (x,), backward)
-
-
-def smul(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar tensor (differentiable in both)."""
-    if s.data.size != 1:
-        raise DimensionError(f"smul: scalar operand has shape {s.data.shape}")
-    _check_same_dtype(x, s, "smul")
-    sval = s.data.reshape(())
-    out = Tensor(x.data * sval)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * sval)
-        if s.requires_grad:
-            s.accumulate_grad(np.sum(g * x.data).reshape(s.data.shape))
-    return _finish(out, (x, s), backward)
 
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
@@ -275,15 +247,6 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
     return _finish(out, (x,), backward)
 
 
-def log10(x: Tensor) -> Tensor:
-    out = Tensor(np.log10(x.data))
-    c = x.data.dtype.type(math.log(10.0))
-
-    def backward(g):
-        x.accumulate_grad(g / (x.data * c))
-    return _finish(out, (x,), backward)
-
-
 def log1p(x: Tensor) -> Tensor:
     out = Tensor(np.log1p(x.data))
 
@@ -305,31 +268,6 @@ def mean_axes(x: Tensor, axes: tuple) -> Tensor:
     def backward(g):
         ge = np.expand_dims(g, axes)
         x.accumulate_grad(np.broadcast_to(ge / n, x.data.shape).copy())
-    return _finish(out, (x,), backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Sum of elementwise products (fused: avoids materializing a*b)."""
-    _check_same_shape(a, b, "dot")
-    _check_same_dtype(a, b, "dot")
-    out = Tensor(np.asarray(np.vdot(a.data, b.data),
-                            dtype=a.data.dtype).reshape(()))
-
-    def backward(g):
-        gv = g.reshape(())
-        if a.requires_grad:
-            a.accumulate_grad(gv * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(gv * a.data)
-    return _finish(out, (a, b), backward)
-
-
-def center(x: Tensor) -> Tensor:
-    """Subtract the mean (used by scale-invariant metrics)."""
-    out = Tensor(x.data - np.mean(x.data))
-
-    def backward(g):
-        x.accumulate_grad(g - np.mean(g))
     return _finish(out, (x,), backward)
 
 
@@ -819,7 +757,7 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Classification head
+# Losses
 # ---------------------------------------------------------------------------
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -843,6 +781,63 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         gp[np.arange(bsz), labels] -= 1.0
         logits.accumulate_grad(g.reshape(()) * gp / bsz)
     return _finish(out, (logits,), backward)
+
+
+SNR_FLOOR = 1e-8  # floor of si_snr's residual energy and of its ratio
+
+
+def si_snr(target: np.ndarray, est: Tensor) -> Tensor:
+    """Scale-invariant SNR in dB (Le Roux et al. 2019) of a 1-D estimate
+    against a constant 1-D target of the same length and dtype.
+
+    Both signals are mean-subtracted; the estimate is projected onto the
+    target, and the ratio of projection energy to residual energy gives
+    the score, so any positive rescaling of the estimate leaves it
+    unchanged. The residual energy and the ratio are floored at
+    SNR_FLOOR, so a perfect estimate stays finite. A zero-energy target
+    raises DegenerateTargetError.
+    """
+    target = np.asarray(target)
+    if target.ndim != 1 or est.data.ndim != 1:
+        raise DimensionError("si_snr: inputs must be 1-D waveforms")
+    if target.shape != est.data.shape:
+        raise DimensionError(f"si_snr: axis 0 mismatch ({target.shape[0]} "
+                             f"vs {est.data.shape[0]})")
+    if target.dtype != est.data.dtype:
+        raise UsageError(f"si_snr: mixed dtypes {target.dtype} vs "
+                         f"{est.data.dtype}; convert explicitly")
+    dt = target.dtype.type
+    sc = target - np.mean(target)
+    ec = est.data - np.mean(est.data)
+    s_energy = np.vdot(sc, sc)
+    if s_energy <= 0.0:
+        raise DegenerateTargetError(
+            "si_snr: zero-energy target; filter silent references upstream")
+    sp = sc * (np.vdot(sc, ec) / s_energy)
+    err = ec - sp
+    num = np.vdot(sp, sp)
+    den0 = np.vdot(err, err)
+    den = np.maximum(den0, dt(SNR_FLOOR))
+    q = num / den
+    ratio = np.maximum(q, dt(SNR_FLOOR))
+    out = Tensor(np.log10(ratio) * dt(10.0))
+
+    def backward(g):
+        # Every step keeps a fixed operation order (an energy's gradient
+        # is t + t, not 2·t; products as written), which keeps float32
+        # gradients bit-identical to this formula built from elementwise
+        # engine ops.
+        gq = g * dt(10.0) / (ratio * dt(math.log(10.0))) * (q > SNR_FLOOR)
+        gnum = gq / den
+        gden = -gq * num / (den * den) * (den0 > SNR_FLOOR)
+        t = gden * err
+        gerr = t + t
+        t = gnum * sp
+        gsp = t + t - gerr
+        gsd = np.sum(gsp * sc) / s_energy
+        gec = gerr + gsd * sc
+        est.accumulate_grad(gec - np.mean(gec))
+    return _finish(out, (est,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Every subcommand resolves a RunConfig (config file values overridden by
 explicit flags, builtin defaults last), writes it into the output
 directory, and exits 0 on success. Failures print one machine-readable
-line `<ErrorClass>: <message>` and exit 2 (usage), 3 (data),
-4 (checkpoint), or 5 (numeric).
+line `<ErrorClass>: <message>` and exit with the error class's
+`exit_code`: 2 (usage), 3 (data), 4 (checkpoint), or 5 (numeric).
 """
 
 import argparse
@@ -19,26 +19,9 @@ from . import data as dataio
 from . import evalkit
 from . import trainer
 from .embedder import train_embedder
-from .errors import (CheckpointError, ConfigurationError, DataError,
-                     InputError, NumericError, UsageError, VoicesepError)
+from .errors import CheckpointError, InputError, UsageError, VoicesepError
 from .model import ModelConfig, init_params
 from .trainer import TrainConfig
-
-_EXIT_CODES = (
-    (CheckpointError, 4),
-    (NumericError, 5),
-    (DataError, 3),        # includes FormatError
-    (UsageError, 2),
-    (ConfigurationError, 2),
-    (InputError, 3),
-)
-
-
-def _exit_code(e: Exception) -> int:
-    for cls, code in _EXIT_CODES:
-        if isinstance(e, cls):
-            return code
-    return 2
 
 
 class RunConfig(dict):
@@ -334,7 +317,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.cmd](args)
     except VoicesepError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return _exit_code(e)
+        return e.exit_code
     except OSError as e:
         print(f"OSError: {e}", file=sys.stderr)
         return 3

@@ -10,7 +10,7 @@ from . import data
 from . import dsp
 from . import losses
 from . import model as separator
-from .errors import ConfigurationError, DataError, InputError
+from .errors import ConfigurationError, DataError, InputError, UsageError
 
 ACTIVITY_FLOOR = 1e-12
 SWITCH_ENERGY_GATE_DB = -60.0
@@ -329,8 +329,14 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
     speaker count is auto-selected per sample; otherwise `model` runs
     as-is. Each sample is scored by aligned_si_snri: the references map to
     distinct channels, and superfluous channels are left out. Fewer
-    channels than references raise InputError.
+    channels than references raise InputError. A cascade without a
+    threshold, or neither a model nor a cascade, raises UsageError before
+    anything is separated.
     """
+    if models is not None and threshold is None:
+        raise UsageError("evaluate: a cascade (models) needs a threshold")
+    if models is None and model is None:
+        raise UsageError("evaluate: give a model or a cascade (models)")
     report = EvalReport()
     for idx, entry in enumerate(entries):
         true_c = len(entry.sources)

@@ -1,8 +1,8 @@
 """SI-SNR, permutation-invariant assignment, multi-scale and identity losses.
 
-All losses are differentiable tensor functions; numpy arrays are accepted
-and treated as constants. Both signals are mean-subtracted before SI-SNR,
-and log arguments are floored at 1e-8 so a perfect estimate stays finite.
+All losses are differentiable in the estimates, which may be Tensors or
+numpy arrays. Targets are constants: numpy arrays, or Tensors that do not
+require grad.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DegenerateTargetError, DimensionError, InputError
-
-SNR_FLOOR = 1e-8
+from .errors import InputError, UsageError
 
 
 @dataclass
@@ -31,32 +29,13 @@ class PermutationAssignment:
 
 
 def si_snr(target, estimate) -> Tensor:
-    """Scale-invariant SNR in dB (scalar tensor, differentiable).
-
-    Projects the (mean-subtracted) estimate onto the target; the ratio of
-    projection energy to residual energy gives the score. Invariant to any
-    positive rescaling of the estimate.
-    """
+    """Scale-invariant SNR in dB of estimate against target (scalar tensor,
+    differentiable in the estimate); see autodiff.si_snr."""
     s = ad.as_tensor(target)
-    est = ad.as_tensor(estimate)
-    if s.data.ndim != 1 or est.data.ndim != 1:
-        raise DimensionError("si_snr: inputs must be 1-D waveforms")
-    if s.shape != est.shape:
-        raise DimensionError(
-            f"si_snr: axis 0 mismatch ({s.shape[0]} vs {est.shape[0]})")
-    s = ad.center(s)
-    est = ad.center(est)
-    s_energy = ad.dot(s, s)
-    if s_energy.item() <= 0.0:
-        raise DegenerateTargetError(
-            "si_snr: zero-energy target; filter silent references upstream")
-    coeff = ad.div(ad.dot(s, est), s_energy)
-    s_proj = ad.smul(s, coeff)
-    err = ad.sub(est, s_proj)
-    num = ad.dot(s_proj, s_proj)
-    den = ad.clamp_min(ad.dot(err, err), SNR_FLOOR)
-    ratio = ad.clamp_min(ad.div(num, den), SNR_FLOOR)
-    return ad.scale(ad.log10(ratio), 10.0)
+    if s.requires_grad:
+        raise UsageError("si_snr: the target is a constant and takes no "
+                         "gradient; pass it detached")
+    return ad.si_snr(s.data, ad.as_tensor(estimate))
 
 
 def pairwise_matrix_tensors(targets, estimates) -> list:

@@ -189,7 +189,8 @@ def run(kernel, case, tape, requires_grad=True):
     with ad.Tape() as t:
         out = kernel(x, sets)
         if requires_grad:
-            t.backward(ad.dot(out, Tensor(weight)))
+            t.backward(ad.linear(ad.reshape(out, (1, -1)),
+                                 Tensor(weight.reshape(-1, 1))))
     grads = [x.grad] + [a.grad for p in sets for a in p]
     return out.data, grads
 

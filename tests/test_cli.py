@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from voicesep import checkpoint as ckpt
+from voicesep import errors
 from voicesep import data as dataio
 from voicesep.cli import main
 from voicesep.embedder import EmbedderConfig, init_embedder
@@ -324,3 +325,14 @@ def test_cascade_label_mismatch(tmp_path, trained):
                  f"3={os.path.join(trained, 'best.ckpt')}",
                  "--threshold", "-60", "--in", str(wav)])
     assert code == 4
+
+
+def test_every_error_class_carries_its_exit_code():
+    """2 usage, 3 data, 4 checkpoint, 5 numeric; subclasses inherit."""
+    want = {"VoicesepError": 2, "UsageError": 2, "ConfigurationError": 2,
+            "DimensionError": 2, "InputError": 3, "DegenerateTargetError": 3,
+            "DataError": 3, "FormatError": 3, "CheckpointError": 4,
+            "NumericError": 5}
+    found = {name: cls.exit_code for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert found == want

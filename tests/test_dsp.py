@@ -67,7 +67,8 @@ def test_chunk_gradients_flow():
 
     def f():
         back = dsp.overlap_add(dsp.chunk(z, 8), 31)
-        return ad.dot(back, ad.Tensor(w))
+        return ad.linear(ad.reshape(back, (1, -1)),
+                         ad.Tensor(w.reshape(-1, 1)))
     rep = ad.grad_check_many(f, [("z", z)])
     assert rep.max_rel_err < 1e-4, rep.worst[:3]
     # round trip is the identity, so the gradient is exactly the weights
@@ -117,6 +118,7 @@ def test_power_spectrogram_gradients():
 
     def f():
         feats = dsp.power_spectrogram(x, win_len=80, hop=80, nfft=80)
-        return ad.dot(feats, ad.Tensor(w))
+        return ad.linear(ad.reshape(feats, (1, -1)),
+                         ad.Tensor(w.reshape(-1, 1)))
     rep = ad.grad_check_many(f, [("x", x)])
     assert rep.max_rel_err < 5e-4, rep.worst[:3]

@@ -6,7 +6,8 @@ import pytest
 
 from voicesep import data as dataio
 from voicesep import evalkit, losses
-from voicesep.errors import ConfigurationError, DataError, InputError
+from voicesep.errors import (ConfigurationError, DataError, InputError,
+                             UsageError)
 from voicesep.model import ModelConfig, init_params
 
 SMALL = ModelConfig(n_filters=8, hidden=8, num_blocks=2, kernel_len=4,
@@ -297,3 +298,19 @@ def test_evaluate_too_few_channels_raises():
         speaker_ids=["x", "y", "z"], gains=[1.0, 1.0, 1.0])]
     with pytest.raises(InputError):
         evalkit.evaluate(entries, small_model(2))
+
+
+@pytest.mark.parametrize("model,models", [
+    (None, None), (None, {2: "cascade"})], ids=["no_model", "no_threshold"])
+def test_evaluate_refuses_missing_model_or_threshold_before_separating(
+        monkeypatch, model, models):
+    calls = []
+    monkeypatch.setattr(evalkit.separator, "separate",
+                        lambda m, x: calls.append(m))
+    a = np.ones(400)
+    entries = [dataio.ManifestEntry(
+        mixture=a.astype(np.float32), sources=[a, a],
+        speaker_ids=["x", "y"], gains=[1.0, 1.0])]
+    with pytest.raises(UsageError):
+        evalkit.evaluate(entries, model, models=models)
+    assert calls == []

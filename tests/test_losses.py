@@ -9,7 +9,8 @@ from scipy.optimize import linear_sum_assignment
 import voicesep.autodiff as ad
 from voicesep import losses
 from voicesep.embedder import EmbedderConfig, init_embedder
-from voicesep.errors import DegenerateTargetError, DimensionError, InputError
+from voicesep.errors import (DegenerateTargetError, DimensionError, InputError,
+                             UsageError)
 
 
 def test_si_snr_hand_value():
@@ -61,6 +62,9 @@ def test_si_snr_errors():
         losses.si_snr(np.zeros(10), np.ones(10))
     with pytest.raises(DimensionError):
         losses.si_snr(np.ones(10), np.ones(11))
+    target = ad.Tensor(np.arange(10.0), requires_grad=True)
+    with pytest.raises(UsageError):  # it would silently get no gradient
+        losses.si_snr(target, np.ones(10))
 
 
 def test_pairwise_matrix_matches_direct_calls():

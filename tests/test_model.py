@@ -248,12 +248,13 @@ def test_encode_decode_head_kernel_gradients():
         p.data = p.data.astype(np.float64)
     rng = np.random.default_rng(10)
     x = ad.Tensor(rng.standard_normal(96))
-    w = [ad.Tensor(rng.standard_normal(96)) for _ in range(2)]
+    w = [ad.Tensor(rng.standard_normal((96, 1))) for _ in range(2)]
 
     def f():
         z = encode(m, x)
         outs = decode_head(m, dsp.chunk(z, 6), z.shape[0])
-        return ad.add(ad.dot(outs[0], w[0]), ad.dot(outs[1], w[1]))
+        return ad.add(ad.linear(ad.reshape(outs[0], (1, -1)), w[0]),
+                      ad.linear(ad.reshape(outs[1], (1, -1)), w[1]))
     rep = ad.grad_check_many(
         f, [("encoder.kernel", m.params["encoder.kernel"]),
             ("wavedec.kernel", m.params["wavedec.kernel"])])

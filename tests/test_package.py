@@ -31,13 +31,17 @@ def test_all_is_sorted_unique_and_what_init_imports():
 
 def referenced_names(node, own=frozenset()):
     """Every Name, Attribute and import alias under `node`, except the
-    references a function, class or method makes to its own name."""
+    references a function, class or method makes to its own name, and
+    attributes of numpy (`np.log10` reaches numpy, not a package
+    function that shares its name)."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         own = own | {node.name}
     if isinstance(node, ast.Name):
         name = node.id
     elif isinstance(node, ast.Attribute):
-        name = node.attr
+        numpy_attr = (isinstance(node.value, ast.Name)
+                      and node.value.id in ("np", "numpy"))
+        name = None if numpy_attr else node.attr
     elif isinstance(node, ast.alias):
         name = node.asname or node.name
     else:
