@@ -349,16 +349,16 @@ def pad_rows(x: Tensor, front: int, back: int) -> Tensor:
     return _finish(out, (x,), backward)
 
 
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[...] = x[idx[...]] along axis 0 (idx may repeat / reflect)."""
+def gather(x: Tensor, idx: np.ndarray) -> Tensor:
+    """out = x[..., idx] along the last axis (idx may repeat / reflect)."""
     idx = np.asarray(idx)
-    if idx.min() < 0 or idx.max() >= x.data.shape[0]:
-        raise DimensionError("gather_rows: index out of range on axis 0")
-    out = Tensor(x.data[idx])
+    if idx.min() < 0 or idx.max() >= x.data.shape[-1]:
+        raise DimensionError("gather: index out of range on the last axis")
+    out = Tensor(x.data[..., idx])
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        np.add.at(gx, (Ellipsis, idx), g)
         x.accumulate_grad(gx)
     return _finish(out, (x,), backward)
 
@@ -476,10 +476,11 @@ def _conv2d_scatter_index(cin: int, h: int, w: int, kh: int,
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Valid 2-D convolution, stride 1: (Cin,H,W) * (Cout,Cin,kh,kw)."""
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise DimensionError("conv2d: expects (Cin,H,W) and (Cout,Cin,kh,kw)")
-    cin, h, w = x.data.shape
+    """Valid 2-D convolution, stride 1, one GEMM per image of the batch:
+    (B,Cin,H,W) * (Cout,Cin,kh,kw)."""
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise DimensionError("conv2d: expects (B,Cin,H,W), (Cout,Cin,kh,kw)")
+    bsz, cin, h, w = x.data.shape
     cout, kcin, kh, kw = kernel.data.shape
     if kcin != cin:
         raise DimensionError(f"conv2d: channel axis mismatch ({cin} vs {kcin})")
@@ -488,38 +489,41 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     _check_same_dtype(x, kernel, "conv2d")
     ho, wo = h - kh + 1, w - kw + 1
     win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw),
-                                                   axis=(1, 2))
-    cols = np.ascontiguousarray(
-        win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cin * kh * kw))
+                                                   axis=(2, 3))
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5).reshape(
+        bsz, ho * wo, cin * kh * kw))
     kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = Tensor((cols @ kmat.T).T.reshape(cout, ho, wo))
+    out = Tensor((cols @ kmat.T).transpose(0, 2, 1).reshape(bsz, cout, ho, wo))
 
     def backward(g):
-        g2 = g.reshape(cout, ho * wo)
+        g2 = g.reshape(bsz, cout, ho * wo)
         if kernel.requires_grad:
-            kernel.accumulate_grad((g2 @ cols).reshape(kernel.data.shape))
+            kernel.accumulate_grad(
+                (g2 @ cols).sum(axis=0).reshape(kernel.data.shape))
         if x.requires_grad:
-            dcols = g2.T @ kmat  # (ho*wo, cin*kh*kw)
-            gx = np.zeros(cin * h * w, dtype=x.data.dtype)
-            np.add.at(gx, _conv2d_scatter_index(cin, h, w, kh, kw), dcols)
+            dcols = g2.transpose(0, 2, 1) @ kmat  # (B, ho*wo, cin*kh*kw)
+            gx = np.zeros((bsz, cin * h * w), dtype=x.data.dtype)
+            idx = _conv2d_scatter_index(cin, h, w, kh, kw)
+            for gx_row, dcols_row in zip(gx, dcols):  # add.at's fast path
+                np.add.at(gx_row, idx, dcols_row)
             x.accumulate_grad(gx.reshape(x.data.shape))
     return _finish(out, (x, kernel), backward)
 
 
 def avgpool2d(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 average pooling; a trailing odd row or column
-    is dropped."""
-    c, h, w = x.data.shape
+    """Non-overlapping 2x2 average pooling over the last two axes; a
+    trailing odd row or column is dropped."""
+    *lead, h, w = x.data.shape
     ho, wo = h // 2, w // 2
     if ho == 0 or wo == 0:
         raise InputError("avgpool2d: input smaller than pool size")
-    trimmed = x.data[:, :ho * 2, :wo * 2]
-    out = Tensor(trimmed.reshape(c, ho, 2, wo, 2).mean(axis=(2, 4)))
+    trimmed = x.data[..., :ho * 2, :wo * 2]
+    out = Tensor(trimmed.reshape(*lead, ho, 2, wo, 2).mean(axis=(-3, -1)))
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[:, :ho * 2, :wo * 2] = np.repeat(np.repeat(g, 2, axis=1), 2,
-                                            axis=2) / 4
+        gx[..., :ho * 2, :wo * 2] = np.repeat(np.repeat(g, 2, axis=-2), 2,
+                                              axis=-1) / 4
         x.accumulate_grad(gx)
     return _finish(out, (x,), backward)
 

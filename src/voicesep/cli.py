@@ -161,6 +161,11 @@ def cmd_train(args) -> int:
     unknown = ablate - {"gating", "multiloss", "idloss"}
     if unknown:
         raise UsageError(f"unknown ablation flags {sorted(unknown)}")
+    use_id = "idloss" not in ablate
+    cfg = TrainConfig(epochs=rc["epochs"], seed=rc["seed"], lr=rc["lr"],
+                      batch_size=rc["batch"], segment_s=rc["segment"],
+                      multiloss="multiloss" not in ablate, idloss=use_id)
+    cfg.validate()
     rc.dump(args.out)
     train_entries = dataio.load_manifest(
         os.path.join(rc["data"], "train.jsonl"))
@@ -169,7 +174,6 @@ def cmd_train(args) -> int:
                      if os.path.exists(valid_path) else None)
     model = init_params(_model_config(rc, gating="gating" not in ablate),
                         seed=rc["seed"])
-    use_id = "idloss" not in ablate
     embedder = None
     if use_id:
         if rc["embedder"]:
@@ -180,9 +184,6 @@ def cmd_train(args) -> int:
             ckpt.save_embedder(os.path.join(args.out, "embedder.ckpt"),
                                embedder, seed=rc["seed"])
             print(f"embedder trained, holdout accuracy {acc:.3f}")
-    cfg = TrainConfig(epochs=rc["epochs"], seed=rc["seed"], lr=rc["lr"],
-                      batch_size=rc["batch"], segment_s=rc["segment"],
-                      multiloss="multiloss" not in ablate, idloss=use_id)
     _, logs = trainer.train(model, embedder, train_entries, cfg,
                             valid_entries=valid_entries, out_dir=args.out,
                             resume_from=rc["resume"])

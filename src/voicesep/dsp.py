@@ -2,7 +2,8 @@
 
 Latent sequences are stored frames-first: a latent of length T' with N
 features is a (T', N) array; a chunked latent is (R, K, N). Waveforms are
-1-D float arrays in [-1, 1).
+1-D float arrays in [-1, 1); the differentiable power spectrogram of the
+identity-loss features takes a (B, T) batch of them.
 
 chunk() pads one hop in front and at least one hop behind, so every
 latent frame lies in exactly two chunks: overlap_add() sums the chunks
@@ -164,20 +165,21 @@ def _dft_mats(win_len: int, nfft: int):
 
 def power_spectrogram(x: Tensor, win_len: int, hop: int,
                       nfft: int) -> Tensor:
-    """|STFT|^2 of a 1-D waveform tensor, differentiable w.r.t. x.
+    """|STFT|^2 of a (B, T) batch of waveforms, (B, frames, bins),
+    differentiable w.r.t. x.
 
     The DFT is folded into two constant linear maps (cosine/sine), so the
     whole path is just gather + linear on the tape. Matches stft() framing.
     """
     _check_stft_sizes(win_len, hop, nfft)
-    if x.data.ndim != 1:
-        raise InputError("power_spectrogram: input must be 1-D")
-    if x.shape[0] <= win_len:
+    if x.data.ndim != 2:
+        raise InputError("power_spectrogram: input must be (B, T)")
+    if x.shape[1] <= win_len:
         raise InputError("power_spectrogram: input not longer than a window")
-    idx = _frame_indices(x.shape[0], win_len, hop)
-    frames = ad.gather_rows(x, idx)  # (J, win_len)
+    idx = _frame_indices(x.shape[1], win_len, hop)
+    frames = ad.gather(x, idx)  # (B, J, win_len)
     cos_m, sin_m = _dft_mats(win_len, nfft)
     dt = x.data.dtype
     re = ad.linear(frames, Tensor(cos_m, dtype=dt))
     im = ad.linear(frames, Tensor(sin_m, dtype=dt))
-    return ad.add(ad.mul(re, re), ad.mul(im, im))  # (J, n_bins)
+    return ad.add(ad.mul(re, re), ad.mul(im, im))  # (B, J, n_bins)

@@ -3,7 +3,9 @@
 A small 3-stage convolutional classifier over log-compressed power
 spectrograms (20 ms Hamming window, 10 ms hop) of 500 ms clips, trained as
 a closed-set classifier on the training speakers. The penultimate layer
-(width 64 by default) is the embedding used by the identity loss.
+(width 64 by default) is the embedding used by the identity loss. Every
+forward method takes a (B, clip_len) batch of clips and runs it through
+the network in one pass.
 """
 
 from __future__ import annotations
@@ -78,43 +80,37 @@ class EmbedderModel:
 
     # -- forward ----------------------------------------------------------
 
-    def features(self, clip: Tensor) -> Tensor:
-        """Log-compressed power spectrogram as a (1, frames, bins) image."""
+    def features(self, clips: Tensor) -> Tensor:
+        """Log-compressed power spectrograms of (B, clip_len) clips as a
+        (B, 1, frames, bins) batch of images."""
         cfg = self.config
-        p = dsp.power_spectrogram(clip, cfg.win_len, cfg.hop, cfg.nfft)
+        p = dsp.power_spectrogram(clips, cfg.win_len, cfg.hop, cfg.nfft)
         feat = ad.log1p(p)
-        return ad.reshape(feat, (1,) + tuple(feat.shape))
+        return ad.reshape(feat, (feat.shape[0], 1) + tuple(feat.shape[1:]))
 
-    def embed_tensor(self, clip: Tensor) -> Tensor:
-        """Differentiable embedding of a 500 ms clip tensor."""
+    def embed_tensor(self, clips: Tensor) -> Tensor:
+        """Differentiable (B, embed_dim) embeddings of (B, clip_len)
+        clips."""
         cfg = self.config
-        if clip.data.ndim != 1 or clip.shape[0] != cfg.clip_len:
+        if clips.data.ndim != 2 or clips.shape[1] != cfg.clip_len:
             raise InputError(
-                f"embed: clip must be exactly {cfg.clip_len} samples "
+                f"embed: clips must be (B, {cfg.clip_len}) samples "
                 f"({cfg.clip_s:g} s at {cfg.sample_rate} Hz), got shape "
-                f"{tuple(clip.shape)}")
-        h = self.features(clip)
+                f"{tuple(clips.shape)}")
+        h = self.features(clips)
         for stage in range(len(cfg.conv_channels)):
             h = ad.conv2d(h, self.params[f"conv{stage}.kernel"])
             h = ad.clamp_min(h, 0.0)
             h = ad.avgpool2d(h)
-        pooled = ad.mean_axes(h, (1, 2))       # (C_last,)
-        pooled = ad.reshape(pooled, (1, pooled.shape[0]))
+        pooled = ad.mean_axes(h, (2, 3))       # (B, C_last)
         emb = ad.linear(pooled, self.params["embed.w"],
                         self.params["embed.b"])
-        emb = ad.clamp_min(emb, 0.0)
-        return ad.reshape(emb, (self.config.embed_dim,))
+        return ad.clamp_min(emb, 0.0)
 
-    def logits_tensor(self, clip: Tensor) -> Tensor:
-        emb = self.embed_tensor(clip)
-        emb = ad.reshape(emb, (1, self.config.embed_dim))
-        out = ad.linear(emb, self.params["cls.w"], self.params["cls.b"])
-        return ad.reshape(out, (self.config.n_classes,))
-
-    def classify(self, clip: np.ndarray) -> int:
-        logits = self.logits_tensor(Tensor(np.asarray(clip,
-                                                      dtype=np.float32)))
-        return int(np.argmax(logits.data))
+    def logits_tensor(self, clips: Tensor) -> Tensor:
+        """(B, n_classes) class scores of (B, clip_len) clips."""
+        return ad.linear(self.embed_tensor(clips), self.params["cls.w"],
+                         self.params["cls.b"])
 
 
 def _conv_out_hw(h: int, w: int, channels: tuple) -> tuple:
@@ -155,10 +151,14 @@ def init_embedder(config: EmbedderConfig, seed: int) -> EmbedderModel:
     return model
 
 
-def _accuracy(model: EmbedderModel, clips, labels) -> float:
-    correct = sum(1 for clip, lab in zip(clips, labels)
-                  if model.classify(clip) == lab)
-    return correct / max(len(clips), 1)
+def _accuracy(model: EmbedderModel, clips: np.ndarray, labels) -> float:
+    """Share of the (n, clip_len) clips classified as their labels, in
+    batches of TRAIN_BATCH."""
+    predicted = np.concatenate([
+        np.argmax(model.logits_tensor(
+            Tensor(clips[lo:lo + TRAIN_BATCH])).data, axis=1)
+        for lo in range(0, len(clips), TRAIN_BATCH)])
+    return float(np.mean(predicted == labels))
 
 
 def train_embedder(corpus, epochs: int = 20, seed: int = 0):
@@ -204,6 +204,7 @@ def train_embedder(corpus, epochs: int = 20, seed: int = 0):
     model = init_embedder(cfg, seed)
     model.classes = classes
     opt = Adam(model.named_parameters(), lr=TRAIN_LR)
+    train_clips, train_labels = np.stack(train_clips), np.array(train_labels)
     n = len(train_clips)
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -211,16 +212,10 @@ def train_embedder(corpus, epochs: int = 20, seed: int = 0):
             batch = order[lo:lo + TRAIN_BATCH]
             opt.zero_grad()
             with ad.Tape() as tape:
-                logit_rows = [
-                    ad.reshape(model.logits_tensor(
-                        Tensor(train_clips[i])), (1, cfg.n_classes))
-                    for i in batch]
-                logits = ad.concat(logit_rows, axis=0)
-                loss = ad.cross_entropy(logits,
-                                        np.array([train_labels[i]
-                                                  for i in batch]))
+                logits = model.logits_tensor(Tensor(train_clips[batch]))
+                loss = ad.cross_entropy(logits, train_labels[batch])
                 tape.backward(loss)
             opt.step()
-    acc = _accuracy(model, hold_clips, hold_labels)
+    acc = _accuracy(model, np.stack(hold_clips), np.array(hold_labels))
     return model, acc
 

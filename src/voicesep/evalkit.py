@@ -2,6 +2,7 @@
 augmentation, the channel-switch metric, and ideal-mask oracles."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,8 +104,11 @@ def select_count(x, models: dict, threshold: float):
     """Descend from the largest-C model while any channel looks silent.
 
     models: {C: SeparatorModel}, contiguous C range. Returns
-    (SelectionReport, channels of the accepted model).
+    (SelectionReport, channels of the accepted model). A non-finite
+    threshold raises UsageError before anything is separated.
     """
+    if not math.isfinite(threshold):
+        raise UsageError(f"select_count: threshold {threshold} is not finite")
     cs = _contiguous_counts(models, "select_count")
     report = SelectionReport(chosen_c=cs[-1], threshold=float(threshold))
     chans = {}

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError, UsageError
+from .errors import InputError, NumericError, UsageError
 
 
 @dataclass
@@ -22,10 +22,6 @@ class PermutationAssignment:
     """Best channel-to-target mapping and its mean SI-SNR in dB."""
     perm: tuple          # estimate index for each target i: est[perm[i]]
     score: float         # mean SI-SNR over channels at this permutation
-
-    def validate(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise InputError(f"perm {self.perm} is not a bijection")
 
 
 def si_snr(target, estimate) -> Tensor:
@@ -59,7 +55,7 @@ def best_permutation(score_matrix: np.ndarray) -> tuple:
     that maximizes the summed score: the Hungarian method, via scipy's
     linear_sum_assignment. Accepts rows <= cols; row i maps to column
     perm[i]. Ties are broken deterministically; the all-equal matrix gives
-    the identity."""
+    the identity. A non-finite score raises NumericError."""
     # imported here: scipy.optimize adds about 48 MB of resident memory,
     # which inference (separate) never needs
     from scipy.optimize import linear_sum_assignment
@@ -67,6 +63,9 @@ def best_permutation(score_matrix: np.ndarray) -> tuple:
     if rows > cols:
         raise InputError(
             f"best_permutation: {rows} rows but only {cols} columns")
+    if not np.all(np.isfinite(score_matrix)):
+        raise NumericError(
+            f"best_permutation: non-finite score in {score_matrix.tolist()}")
     _, perm = linear_sum_assignment(score_matrix, maximize=True)
     return tuple(int(j) for j in perm)
 
@@ -117,34 +116,34 @@ def multiscale_loss(targets, output_groups):
     return ad.scale(total, 1.0 / b), assignments
 
 
-def id_loss(targets, estimates, perm: PermutationAssignment, embedder):
+def id_loss(targets, estimates, perm: tuple, embedder):
     """Speaker-identity loss: MSE between embeddings of matched segments.
 
     Both signals are cut into non-overlapping windows of the embedder's
     clip length from the start (remainder dropped); channel i of the
-    targets is compared against estimate perm[i]. The embedder stays
-    frozen; gradients reach the estimates through the differentiable
-    spectrogram features.
+    targets is compared against estimate perm[i]. All C * n_seg estimate
+    windows are embedded as one batch, and so are the target windows,
+    whose embeddings are constants. The embedder stays frozen; gradients
+    reach the estimates through the differentiable spectrogram features.
     """
     c = len(targets)
     if c != len(estimates):
         raise InputError("id_loss: channel count mismatch")
-    perm.validate()
+    perm = tuple(perm)
+    if sorted(perm) != list(range(c)):
+        raise InputError(f"id_loss: perm {perm} is not a bijection")
     n = ad.as_tensor(targets[0]).shape[0]
     seg = embedder.config.clip_len
     n_seg = n // seg
     if n_seg == 0:
         warnings.warn("id_loss: utterance shorter than one segment; loss 0")
         return Tensor(np.zeros((), dtype=np.float32))
-    total = None
-    for i in range(c):
-        s = ad.as_tensor(targets[i])
-        e = ad.as_tensor(estimates[perm.perm[i]])
-        for j in range(n_seg):
-            lo, hi = j * seg, (j + 1) * seg
-            g_ref = embedder.embed_tensor(ad.slice_axis(s, 0, lo, hi))
-            g_est = embedder.embed_tensor(ad.slice_axis(e, 0, lo, hi))
-            diff = ad.sub(g_est, g_ref.detach())
-            mse = ad.mean_axes(ad.mul(diff, diff), (0,))
-            total = mse if total is None else ad.add(total, mse)
-    return ad.scale(total, 1.0 / (c * n_seg))
+    used = n_seg * seg
+    ref_clips = np.concatenate([
+        ad.as_tensor(t).data[:used].reshape(n_seg, seg) for t in targets])
+    est_clips = ad.concat([
+        ad.reshape(ad.slice_axis(ad.as_tensor(estimates[j]), 0, 0, used),
+                   (n_seg, seg)) for j in perm], axis=0)
+    g_ref = embedder.embed_tensor(Tensor(ref_clips)).detach()
+    diff = ad.sub(embedder.embed_tensor(est_clips), g_ref)
+    return ad.mean_axes(ad.mul(diff, diff), (0, 1))

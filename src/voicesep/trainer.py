@@ -36,8 +36,10 @@ class TrainConfig:
 
     def validate(self) -> None:
         for name in ("epochs", "lr", "batch_size", "segment_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"TrainConfig.{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"TrainConfig.{name} must be finite and > 0, got {value}")
 
     def lr_at(self, epoch: int) -> float:
         """LR for a 1-based epoch: decayed once per DECAY_EVERY epochs."""
@@ -139,8 +141,8 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
                                                multiloss=cfg.multiloss)
                     loss, assigns = losses.multiscale_loss(t32, groups)
                     if cfg.idloss:
-                        idl = losses.id_loss(t32, groups[-1], assigns[-1],
-                                             embedder)
+                        idl = losses.id_loss(
+                            t32, groups[-1], assigns[-1].perm, embedder)
                         loss = ad.add(loss, ad.scale(idl, ID_WEIGHT))
                     total = loss if total is None else ad.add(total, loss)
                 total = ad.scale(total, 1.0 / len(idxs))

@@ -90,10 +90,17 @@ def test_concat_split_grads():
         ad.slice_axis(c, 2, 4, 7)
 
 
-def test_gather_rows_grad_with_repeats():
-    x = t64((5, 3))
-    idx = np.array([0, 2, 2, 4, 1, 2])
-    check(lambda: weighted_sum(ad.gather_rows(x, idx)), [("x", x)])
+def test_gather_grad_with_repeats():
+    """gather reads along the last axis, every batch row alike; repeated
+    indices sum their gradients."""
+    x = t64((2, 5))
+    idx = np.array([[0, 2, 2], [4, 1, 2]])
+    out = ad.gather(x, idx)
+    assert out.data.shape == (2, 2, 3)
+    np.testing.assert_array_equal(out.data[1], x.data[1][idx])
+    check(lambda: weighted_sum(ad.gather(x, idx)), [("x", x)])
+    with pytest.raises(DimensionError):
+        ad.gather(x, np.array([5]))
 
 
 def test_chunk_ola_grads():
@@ -119,23 +126,46 @@ def test_matmul_linear_grads():
 
 
 def test_conv2d_avgpool_grads():
-    x, k = t64((2, 9, 7)), t64((3, 2, 3, 3))
+    x, k = t64((2, 2, 9, 7)), t64((3, 2, 3, 3))
     check(lambda: weighted_sum(ad.conv2d(x, k)), [("x", x), ("k", k)])
-    y = t64((2, 6, 8))
+    y = t64((2, 2, 6, 8))
     check(lambda: weighted_sum(ad.avgpool2d(y)), [("y", y)])
+
+
+def test_conv2d_batch_rows_convolve_alone():
+    """Each image of a batch gets exactly the output and input gradient it
+    gets alone; the kernel gradient is the sum over the images."""
+    x, k = t64((3, 2, 6, 5)), t64((4, 2, 3, 3))
+    with ad.Tape() as tape:
+        out = ad.conv2d(x, k)
+        tape.backward(weighted_sum(out))
+    w = np.random.default_rng(0).standard_normal(out.data.size).reshape(
+        out.data.shape)
+    gk = np.zeros_like(k.data)
+    for b in range(3):
+        xb = ad.Tensor(x.data[b:b + 1].copy(), requires_grad=True)
+        kb = ad.Tensor(k.data, requires_grad=True)
+        with ad.Tape() as tape:
+            ob = ad.conv2d(xb, kb)
+            tape.backward(ad.linear(ad.reshape(ob, (1, -1)),
+                                    ad.Tensor(w[b].reshape(-1, 1))))
+        np.testing.assert_array_equal(ob.data[0], out.data[b])
+        np.testing.assert_array_equal(xb.grad[0], x.grad[b])
+        gk += kb.grad
+    np.testing.assert_allclose(k.grad, gk, rtol=1e-12)
 
 
 def test_conv2d_index_cache_is_bounded():
     k = ad.Tensor(np.ones((1, 1, 2, 2)))
     cache = ad._conv2d_scatter_index
     for w in range(2, 2 + 3 * cache.cache_info().maxsize):
-        x = t64((1, 3, w))
+        x = t64((2, 1, 3, w))
         with ad.Tape() as tape:
             out = ad.conv2d(x, k)
             ones = ad.Tensor(np.ones((out.data.size, 1)))
             tape.backward(ad.linear(ad.reshape(out, (1, -1)), ones))
-        np.testing.assert_array_equal(x.grad[0, 1, 1:-1],
-                                      np.full(w - 2, 4.0))
+        np.testing.assert_array_equal(x.grad[:, 0, 1, 1:-1],
+                                      np.full((2, w - 2), 4.0))
         assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
 

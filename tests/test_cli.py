@@ -114,6 +114,26 @@ def test_eval_report(tmp_path, corpus, trained):
     assert "# aggregate" in text
 
 
+def test_eval_non_finite_outputs_exit_5(tmp_path, corpus, trained,
+                                        monkeypatch):
+    """A checkpoint cannot hold NaN, so the loader hands over a model
+    whose decoder bias is NaN: its outputs are NaN, and scoring them ends
+    with NumericError's exit code."""
+    load = ckpt.load_separator
+
+    def nan_load(path):
+        model, *rest = load(path)
+        model.params["decoder.b"].data[:] = np.nan
+        return (model, *rest)
+    monkeypatch.setattr(ckpt, "load_separator", nan_load)
+    out = tmp_path / "ev"
+    code = main(["eval", "--out", str(out), "--checkpoint",
+                 os.path.join(trained, "best.ckpt"), "--manifest",
+                 os.path.join(corpus, "test.jsonl")])
+    assert code == 5
+    assert not (out / "report.txt").exists()
+
+
 def test_eval_other_sample_rate_exits_3(tmp_path, corpus, trained):
     """A manifest of 16 kHz WAVs given to an 8 kHz checkpoint is refused
     before scoring, and no report is written."""
@@ -307,6 +327,33 @@ def test_exit_code_numeric_error(tmp_path, trained, monkeypatch):
     code = main(["separate", "--out", str(tmp_path / "o"), "--checkpoint",
                  os.path.join(trained, "best.ckpt"), "--in", "mix.wav"])
     assert code == 5
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--epochs", "0"), ("--batch", "0"), ("--lr", "nan"), ("--lr", "inf"),
+    ("--segment", "nan"), ("--segment", "inf")])
+def test_train_non_finite_or_non_positive_flags_exit_2(tmp_path, corpus,
+                                                       flag, value):
+    """Refused before an embedder is trained or any checkpoint saved."""
+    out = tmp_path / "t"
+    code = main(["train", "--out", str(out), "--data", corpus,
+                 "--epochs", "1", "--segment", "0.25", *SMALL_FLAGS,
+                 flag, value])
+    assert code == 2
+    assert not list(tmp_path.rglob("*.ckpt"))
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_select_non_finite_threshold_exits_2(tmp_path, trained, threshold):
+    wav = tmp_path / "x.wav"
+    dataio.wav_write(wav, np.zeros(400))
+    out = tmp_path / "o"
+    code = main(["select", "--out", str(out), "--cascade",
+                 f"2={os.path.join(trained, 'best.ckpt')}",
+                 f"--threshold={threshold}", "--in", str(wav)])
+    assert code == 2
+    assert not list(out.glob("channel*.wav"))
+    assert not (out / "selection.json").exists()
 
 
 def test_select_requires_threshold_or_calibration(tmp_path, trained):

@@ -103,18 +103,19 @@ def test_mixture_phase_reconstruct_mask_of_ones():
 
 def test_power_spectrogram_matches_stft():
     rng = np.random.default_rng(11)
-    x = rng.standard_normal(4000).astype(np.float64)
+    x = rng.standard_normal((2, 4000)).astype(np.float64)
     feats = dsp.power_spectrogram(ad.Tensor(x), win_len=160, hop=80, nfft=160)
-    spec = dsp.stft(x, 160, 80, 160)
-    np.testing.assert_allclose(feats.data.T, np.abs(spec.bins) ** 2,
-                               rtol=1e-8, atol=1e-8)
+    for row, x_row in zip(feats.data, x):
+        spec = dsp.stft(x_row, 160, 80, 160)
+        np.testing.assert_allclose(row.T, np.abs(spec.bins) ** 2,
+                                   rtol=1e-8, atol=1e-8)
 
 
 def test_power_spectrogram_gradients():
     rng = np.random.default_rng(12)
-    x = ad.Tensor(rng.standard_normal(400))
+    x = ad.Tensor(rng.standard_normal((2, 400)))
     x.requires_grad = True
-    w = np.random.default_rng(13).standard_normal((6, 41))
+    w = np.random.default_rng(13).standard_normal((2, 6, 41))
 
     def f():
         feats = dsp.power_spectrogram(x, win_len=80, hop=80, nfft=80)

@@ -11,10 +11,11 @@ from voicesep.errors import DataError, InputError
 import voicesep.autodiff as ad
 
 
-def embed(model, clip):
-    """Embedding of a waveform clip as a plain array, with no tape."""
+def embed(model, clips):
+    """(B, embed_dim) embeddings of (B, clip_len) clips as a plain array,
+    with no tape."""
     return model.embed_tensor(
-        ad.Tensor(np.asarray(clip, dtype=np.float32))).data
+        ad.Tensor(np.asarray(clips, dtype=np.float32))).data
 
 
 @pytest.fixture(scope="module")
@@ -31,36 +32,44 @@ def tiny_corpus():
 def test_feature_geometry():
     cfg = EmbedderConfig(n_classes=3)
     model = init_embedder(cfg, seed=0)
-    clip = np.random.default_rng(0).standard_normal(cfg.clip_len)
-    feats = model.features(ad.Tensor(clip.astype(np.float32)))
+    clips = np.random.default_rng(0).standard_normal((2, cfg.clip_len))
+    feats = model.features(ad.Tensor(clips.astype(np.float32)))
     # 20 ms window / 10 ms hop at 8 kHz: 81 bins, 51 frames for 500 ms
-    assert feats.data.shape == (1, 51, 81)
+    assert feats.data.shape == (2, 1, 51, 81)
 
 
 def test_embedding_shape_and_determinism():
+    """A batch embeds to one row per clip, each row what the clip gets
+    alone (up to float32 rounding), and the same on every call."""
     cfg = EmbedderConfig(n_classes=3)
     model = init_embedder(cfg, seed=0)
-    clip = np.random.default_rng(1).standard_normal(cfg.clip_len).astype(
-        np.float32)
-    e1, e2 = embed(model, clip), embed(model, clip)
-    assert e1.shape == (cfg.embed_dim,)
+    clips = np.random.default_rng(1).standard_normal(
+        (3, cfg.clip_len)).astype(np.float32) * 0.3
+    e1, e2 = embed(model, clips), embed(model, clips)
+    assert e1.shape == (3, cfg.embed_dim)
     np.testing.assert_array_equal(e1, e2)
+    for row, clip in zip(e1, clips):
+        np.testing.assert_allclose(embed(model, clip[None])[0], row,
+                                   rtol=1e-5, atol=1e-7)
 
 
 def test_embed_rejects_wrong_length():
     cfg = EmbedderConfig(n_classes=3)
     model = init_embedder(cfg, seed=0)
     with pytest.raises(InputError):
-        embed(model, np.zeros(cfg.clip_len - 1, dtype=np.float32))
+        embed(model, np.zeros((1, cfg.clip_len - 1), dtype=np.float32))
+    with pytest.raises(InputError):
+        embed(model, np.zeros(cfg.clip_len, dtype=np.float32))
 
 
 def test_train_embedder_learns_toy_speakers(tiny_corpus):
     model, acc = train_embedder(tiny_corpus, epochs=20, seed=3)
     assert acc >= 0.8
     # embeddings of same-speaker clips sit closer than cross-speaker ones
+    clips, spk_ids = zip(*tiny_corpus[:40])
     by_spk = {}
-    for clip, spk in tiny_corpus[:40]:
-        by_spk.setdefault(spk, []).append(embed(model, clip))
+    for emb, spk in zip(embed(model, np.stack(clips)), spk_ids):
+        by_spk.setdefault(spk, []).append(emb)
     spks = sorted(by_spk)
     same = np.linalg.norm(by_spk[spks[0]][0] - by_spk[spks[0]][1])
     cross = np.linalg.norm(by_spk[spks[0]][0] - by_spk[spks[1]][0])

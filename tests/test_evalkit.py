@@ -7,7 +7,7 @@ import pytest
 from voicesep import data as dataio
 from voicesep import evalkit, losses
 from voicesep.errors import (ConfigurationError, DataError, InputError,
-                             UsageError)
+                             NumericError, UsageError)
 from voicesep.model import ModelConfig, init_params
 
 SMALL = ModelConfig(n_filters=8, hidden=8, num_blocks=2, kernel_len=4,
@@ -115,6 +115,19 @@ def test_select_count_descends_and_reports():
     assert report2.chosen_c == 2
     assert report2.path == [3, 2]
     assert len(chans2) == 2
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_select_count_refuses_non_finite_threshold_before_separating(
+        monkeypatch, threshold):
+    calls = []
+    monkeypatch.setattr(evalkit.separator, "separate",
+                        lambda m, x: calls.append(m))
+    with pytest.raises(UsageError, match="threshold"):
+        evalkit.select_count(np.zeros(400, np.float32),
+                             {2: small_model(2), 3: small_model(3)},
+                             threshold)
+    assert calls == []
 
 
 def test_calibrate_threshold_prefers_lowest_tie():
@@ -288,6 +301,17 @@ def test_evaluate_with_cascade_superfluous_channels():
     s = report.samples[0]
     assert s.selected_c == 3 and s.true_c == 2
     assert len(set(s.perm)) == 2  # two distinct channels kept
+
+
+def test_evaluate_non_finite_outputs_raise_numeric_error():
+    model = small_model()
+    model.params["decoder.b"].data[:] = np.nan
+    a, b = np.random.default_rng(13).standard_normal((2, 4000))
+    entries = [dataio.ManifestEntry(
+        mixture=(a + b).astype(np.float32), sources=[a, b],
+        speaker_ids=["x", "y"], gains=[1.0, 1.0])]
+    with pytest.raises(NumericError, match="non-finite"):
+        evalkit.evaluate(entries, model)
 
 
 def test_evaluate_too_few_channels_raises():

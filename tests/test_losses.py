@@ -10,7 +10,7 @@ import voicesep.autodiff as ad
 from voicesep import losses
 from voicesep.embedder import EmbedderConfig, init_embedder
 from voicesep.errors import (DegenerateTargetError, DimensionError, InputError,
-                             UsageError)
+                             NumericError, UsageError)
 
 
 def test_si_snr_hand_value():
@@ -182,6 +182,14 @@ def test_best_permutation_needs_rows_le_cols():
         losses.best_permutation(np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_best_permutation_refuses_non_finite_scores(bad):
+    mat = np.eye(3)
+    mat[1, 2] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        losses.best_permutation(mat)
+
+
 def test_best_permutation_lexicographic_tiebreak():
     mat = np.zeros((2, 2))  # all permutations tie
     assert losses.best_permutation(mat) == (0, 1)
@@ -222,7 +230,7 @@ def embedder():
 def test_id_loss_zero_for_identical(embedder):
     rng = np.random.default_rng(10)
     s = [rng.standard_normal(4000).astype(np.float32) for _ in range(2)]
-    perm = losses.PermutationAssignment(perm=(0, 1), score=0.0)
+    perm = (0, 1)
     val = losses.id_loss(s, [ad.Tensor(si.copy()) for si in s], perm,
                          embedder)
     assert val.item() == pytest.approx(0.0, abs=1e-10)
@@ -236,7 +244,7 @@ def test_id_loss_positive_and_differentiable(embedder):
         np.float32)) for si in s]
     for e in ests:
         e.requires_grad = True
-    perm = losses.PermutationAssignment(perm=(0, 1), score=0.0)
+    perm = (0, 1)
     with ad.Tape() as tape:
         val = losses.id_loss(s, ests, perm, embedder)
         assert val.item() > 0
@@ -246,7 +254,7 @@ def test_id_loss_positive_and_differentiable(embedder):
 
 def test_id_loss_short_clip_warns_and_is_zero(embedder):
     s = [np.ones(1000, dtype=np.float32) for _ in range(2)]
-    perm = losses.PermutationAssignment(perm=(0, 1), score=0.0)
+    perm = (0, 1)
     with pytest.warns(UserWarning):
         val = losses.id_loss(s, [ad.Tensor(si.copy()) for si in s], perm,
                              embedder)
@@ -257,7 +265,7 @@ def test_id_loss_respects_permutation(embedder):
     rng = np.random.default_rng(12)
     s = [rng.standard_normal(4000).astype(np.float32) for _ in range(2)]
     swapped = [ad.Tensor(s[1].copy()), ad.Tensor(s[0].copy())]
-    perm = losses.PermutationAssignment(perm=(1, 0), score=0.0)
+    perm = (1, 0)
     val = losses.id_loss(s, swapped, perm, embedder)
     assert val.item() == pytest.approx(0.0, abs=1e-10)
 
@@ -270,6 +278,65 @@ def test_id_loss_segments_follow_the_embedder_clip():
     s = [rng.standard_normal(8000).astype(np.float32) for _ in range(2)]
     ests = [ad.Tensor(si + 0.2 * rng.standard_normal(8000).astype(
         np.float32)) for si in s]
-    perm = losses.PermutationAssignment(perm=(0, 1), score=0.0)
+    perm = (0, 1)
     val = losses.id_loss(s, ests, perm, short)
     assert np.isfinite(val.item()) and val.item() > 0
+
+
+def test_id_loss_rejects_a_perm_that_is_not_a_bijection(embedder):
+    s = [np.ones(4000, dtype=np.float32) for _ in range(2)]
+    for perm in [(0, 0), (0,), (0, 2)]:
+        with pytest.raises(InputError, match="bijection"):
+            losses.id_loss(s, [ad.Tensor(si) for si in s], perm, embedder)
+
+
+def per_clip_id_loss(targets, estimates, perm, embedder):
+    """The identity loss one clip at a time: each matched pair of windows
+    embedded on its own, the per-window MSEs summed and averaged."""
+    seg = embedder.config.clip_len
+    n_seg = len(targets[0]) // seg
+    total = None
+    for i, j in enumerate(perm):
+        s, e = ad.as_tensor(targets[i]), ad.as_tensor(estimates[j])
+        for k in range(n_seg):
+            lo, hi = k * seg, (k + 1) * seg
+            g_ref = embedder.embed_tensor(
+                ad.reshape(ad.slice_axis(s, 0, lo, hi), (1, seg)))
+            g_est = embedder.embed_tensor(
+                ad.reshape(ad.slice_axis(e, 0, lo, hi), (1, seg)))
+            diff = ad.sub(g_est, g_ref.detach())
+            mse = ad.mean_axes(ad.mul(diff, diff), (0, 1))
+            total = mse if total is None else ad.add(total, mse)
+    return ad.scale(total, 1.0 / (len(targets) * n_seg))
+
+
+@pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12),
+                                       (np.float32, 1e-5)])
+def test_id_loss_batch_matches_per_clip_loop(dtype, rel):
+    """Embedding all windows as one batch gives the per-clip loop's value
+    and estimate gradients, with a remainder dropped and the channels
+    swapped."""
+    emb = init_embedder(EmbedderConfig(n_classes=3), seed=2)
+    for p in emb.params.values():
+        p.data = p.data.astype(dtype)
+    emb.set_requires_grad(False)
+    rng = np.random.default_rng(14)
+    n = 2 * emb.config.clip_len + 123
+    s = [(rng.standard_normal(n) * 0.3).astype(dtype) for _ in range(2)]
+    noisy = [si + (0.3 * rng.standard_normal(n)).astype(dtype) for si in s]
+    values, grads = [], []
+    for fn in (losses.id_loss, per_clip_id_loss):
+        ests = [ad.Tensor(noisy[1], requires_grad=True),
+                ad.Tensor(noisy[0], requires_grad=True)]
+        with ad.Tape() as tape:
+            val = fn(s, ests, (1, 0), emb)
+            tape.backward(val)
+        assert val.dtype == dtype
+        values.append(val.item())
+        grads.append([e.grad for e in ests])
+    assert values[0] > 0
+    assert values[0] == pytest.approx(values[1], rel=rel, abs=0.0)
+    for g_batch, g_loop in zip(*grads):
+        scale = np.max(np.abs(g_loop))
+        np.testing.assert_allclose(g_batch, g_loop, rtol=0,
+                                   atol=rel * 10 * scale)

@@ -9,7 +9,7 @@ from voicesep import checkpoint as ckpt
 from voicesep import data as dataio
 from voicesep import trainer
 from voicesep.embedder import EmbedderConfig, init_embedder
-from voicesep.errors import ConfigurationError, InputError
+from voicesep.errors import ConfigurationError, InputError, NumericError
 from voicesep.model import ModelConfig, init_params
 
 SMALL = ModelConfig(n_filters=8, hidden=8, num_blocks=2, kernel_len=4,
@@ -49,6 +49,26 @@ def test_lr_schedule():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         trainer.TrainConfig(epochs=0).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", -1), ("batch_size", 0), ("lr", float("nan")),
+    ("lr", float("inf")), ("segment_s", float("nan")),
+    ("segment_s", float("inf")), ("segment_s", -0.5)])
+def test_config_requires_finite_positive_values(field, value):
+    cfg = trainer.TrainConfig(epochs=1)
+    setattr(cfg, field, value)
+    with pytest.raises(ConfigurationError, match=field):
+        cfg.validate()
+
+
+def test_non_finite_model_outputs_raise_numeric_error():
+    """A model whose outputs are NaN fails with NumericError when the
+    channel assignment is scored, not with scipy's untyped ValueError."""
+    model = init_params(SMALL, seed=0)
+    model.params["decoder.b"].data[:] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        trainer.train(model, None, tiny_entries(n=1), small_cfg(epochs=1))
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -226,3 +246,27 @@ def test_multiloss_off_changes_objective():
     _, logs_off = trainer.train(m2, None, entries,
                                 small_cfg(epochs=1, multiloss=False))
     assert logs_on[0].train_loss != logs_off[0].train_loss
+
+
+def test_identity_loss_tape_does_not_grow_with_the_crop(monkeypatch):
+    """At the paper's structure (b = 6, L = 8, C = 2, multi-scale loss and
+    identity loss on) a step records as many tape nodes at a 4 s crop as
+    at a 1 s one: the identity loss embeds all its windows in one batch.
+    The node count does not depend on the widths N and H."""
+    from voicesep import autodiff as ad
+    sizes = []
+    backward = ad.Tape.backward
+
+    def counted(tape, loss):
+        sizes.append(len(tape))
+        return backward(tape, loss)
+    monkeypatch.setattr(ad.Tape, "backward", counted)
+    paper = ModelConfig(n_filters=8, hidden=8, num_speakers=2)
+    assert (paper.num_blocks, paper.kernel_len) == (6, 8)
+    for seconds in (1.0, 4.0):
+        emb = init_embedder(EmbedderConfig(n_classes=2), 0)
+        trainer.train(init_params(paper, 0), emb,
+                      tiny_entries(n=1, duration=seconds),
+                      trainer.TrainConfig(epochs=1, batch_size=1,
+                                          segment_s=seconds))
+    assert sizes[0] == sizes[1] <= 130
