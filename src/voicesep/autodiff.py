@@ -107,8 +107,11 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate grads of every parameter reachable from `loss`.
 
-        Parameter (leaf) grads accumulate across repeated calls;
-        intermediate grads are reset on every call.
+        Parameter (leaf) grads accumulate across repeated calls. Each
+        intermediate (recorded output) grad is dropped as soon as its
+        node's backward has consumed it, so none is held after the call;
+        they are also reset at the start, so a call after a failed one
+        starts from zero.
         """
         if loss._tape is not self:
             raise UsageError("backward() called on a tensor that was not "
@@ -121,7 +124,7 @@ class Tape:
             node.out.grad = None
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self._nodes):
-            g = node.out.grad
+            g, node.out.grad = node.out.grad, None
             if g is not None:
                 node.backward(g)
 
@@ -586,10 +589,14 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     directions, and one over the mirrored rows [S-t0-block, S-t0) for
     the reverse ones, which read input row S-1-t at step t. Per-step
     buffers are time-major, (S, D, B, .), so step t is a contiguous
-    slice, and the gate math runs in place.
+    slice, and the gate math runs in place. No hidden-state staging
+    buffer: each step computes h into one contiguous (D, B, H) buffer,
+    which the next step's recurrence reads, and copies it straight into
+    the set outputs, the forward directions at time t and the reverse
+    ones at time S-1-t.
 
     Without a recording tape (or when nothing requires grad) the loop
-    keeps only h, c and the hidden states it returns. Under a tape it also
+    keeps only h, c and the outputs it fills. Under a tape it also
     saves the activated gates (S, D, B, 4H) and the cell states
     (S, D, B, H), and keeps each set's output; backward recomputes tanh(c)
     from them, re-reads x for the input-weight gradient and the set
@@ -632,13 +639,17 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     pbuf = np.empty((2, nb * B, n_sets * G), dtype=dt)
     proj = pbuf.reshape(2, nb, B, n_sets, G)
 
-    hs = np.empty((S, D, B, H), dtype=dt)
+    # the set outputs, filled step by step: set s is the contiguous
+    # (B, S, 2H) block sets_out[s], forward hidden states in its first half
+    # and reverse ones, in input time order, in its second
+    sets_out = np.empty((n_sets, B, S, 2 * H), dtype=dt)
     if keep:
         gates = np.empty((S, D, B, G), dtype=dt)
         cs = np.empty((S, D, B, H), dtype=dt)
     else:
         z = np.empty((D, B, G), dtype=dt)
     h = np.zeros((D, B, H), dtype=dt)
+    h_sets = h.reshape(n_sets, 2, B, H)
     c = np.zeros((D, B, H), dtype=dt)
     tmp = np.empty((D, B, H), dtype=dt)
     for t in range(S):
@@ -669,17 +680,13 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
         cn += tmp
         c = cn
         np.tanh(c, out=tmp)
-        h = np.multiply(gt[..., 2 * H:H3], tmp, out=hs[t])
-    del xt, pbuf, proj  # freed before the outputs are allocated
-
-    ods = []
-    for s in range(n_sets):
-        od = np.empty((B, S, 2 * H), dtype=dt)
-        od[..., :H] = hs[:, 2 * s].transpose(1, 0, 2)
-        od[..., H:] = hs[::-1, 2 * s + 1].transpose(1, 0, 2)
-        ods.append(od)
-    # h is a view into hs: both go before the gated product is allocated
-    del hs, h
+        # the next step's matmul reads this contiguous h, not a strided
+        # view of the outputs: its sums could then differ in the last bits
+        np.multiply(gt[..., 2 * H:H3], tmp, out=h)
+        sets_out[:, :, t, :H] = h_sets[:, 0]
+        sets_out[:, :, S - 1 - t, H:] = h_sets[:, 1]
+    del xt, pbuf, proj  # freed before the gated product is allocated
+    ods = list(sets_out)
     out = Tensor(ods[0] if n_sets == 1 else ods[0] * ods[1])
 
     def backward(g):
@@ -689,6 +696,7 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
                                [g * ods[1], g * ods[0]]):
             gst[:, 2 * s] = gs[..., :H].transpose(1, 0, 2)
             gst[:, 2 * s + 1] = gs[:, ::-1, H:].transpose(1, 0, 2)
+        del gs  # copied into gst; not held through the loop
         # dZ stays (D, B, S, 4H): the weight-gradient products below then
         # reduce over (B, S) rows in batch-major order
         dZ = np.empty((D, B, S, G), dtype=dt)
@@ -743,8 +751,9 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
                 p.b.accumulate_grad(dZ[sl].sum(axis=(1, 2)))
             if p.wh.requires_grad:
                 # the outputs hold the hidden states; the reverse half is
-                # stored in input time order
-                h_prev = np.zeros((2, B, S, H), dtype=dt)
+                # stored in input time order; step 0 has no predecessor
+                h_prev = np.empty((2, B, S, H), dtype=dt)
+                h_prev[:, :, 0] = 0.0
                 h_prev[0, :, 1:] = ods[s][:, :-1, :H]
                 h_prev[1, :, 1:] = ods[s][:, :0:-1, H:]
                 p.wh.accumulate_grad(np.matmul(
@@ -754,9 +763,20 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
                 p.wx.accumulate_grad(np.matmul(X2.transpose(0, 2, 1),
                                                dZ2[sl]))
         if x.requires_grad:
-            dX = np.matmul(dZ2, wxs.transpose(0, 2, 1)).reshape(D, B, S, F)
-            dx = dX[0::2].sum(axis=0) + dX[1::2, :, ::-1].sum(axis=0)
-            x.accumulate_grad(dx)
+            # one direction at a time, never a (D, B, S, F) block: the sum
+            # over the forward directions, the one over the reverse
+            # directions, then the reverse sum mirrored to input time
+            fwd = np.matmul(dZ2[0], wxs[0].T)
+            rev = np.matmul(dZ2[1], wxs[1].T)
+            if n_sets == 2:
+                part = np.matmul(dZ2[2], wxs[2].T)
+                fwd += part
+                rev += np.matmul(dZ2[3], wxs[3].T, out=part)
+                del part
+            fwd = fwd.reshape(B, S, F)
+            fwd += rev.reshape(B, S, F)[:, ::-1]
+            del rev
+            x.accumulate_grad(fwd)
     return _finish(out, inputs, backward)
 
 

@@ -9,6 +9,8 @@ line `<ErrorClass>: <message>` and exit with the error class's
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 
@@ -255,6 +257,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _parse_cascade(spec: str) -> dict:
     models = {}
     for part in spec.split(","):
@@ -273,10 +280,13 @@ def _parse_cascade(spec: str) -> dict:
 def cmd_select(args) -> int:
     rc = RunConfig.resolve(args, {"seed": 0, "threshold": None,
                                   "calibrate": None})
+    threshold = rc["threshold"]
+    if threshold is not None and not _is_finite_real(threshold):
+        raise UsageError(f"select: threshold {threshold!r} is not a finite "
+                         "number")
     rc.dump(args.out)
     models = _parse_cascade(args.cascade)
     x, rate = _read_wav_for(args.wav_in, models.values())
-    threshold = rc["threshold"]
     if threshold is None:
         if not rc["calibrate"]:
             raise UsageError("select needs --threshold or --calibrate")
@@ -298,6 +308,9 @@ def cmd_select(args) -> int:
 
 def cmd_tta(args) -> int:
     rc = RunConfig.resolve(args, {"seed": 0, "tta": 10})
+    k = rc["tta"]
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise UsageError(f"tta: --tta must be an integer >= 0, got {k!r}")
     rc.dump(args.out)
     model, x, rate = _load_separator_and_wav(args)
     channels = evalkit.tta_separate(x, model, k=rc["tta"], seed=rc["seed"])

@@ -2,6 +2,7 @@
 Adam with a stepped LR decay, gradient clipping, per-epoch validation."""
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -35,8 +36,16 @@ class TrainConfig:
     idloss: bool = True
 
     def validate(self) -> None:
-        for name in ("epochs", "lr", "batch_size", "segment_s"):
+        for name, kind, what in (
+                ("epochs", numbers.Integral, "an integer"),
+                ("lr", numbers.Real, "a real number"),
+                ("batch_size", numbers.Integral, "an integer"),
+                ("segment_s", numbers.Real, "a real number")):
             value = getattr(self, name)
+            # a bool is an int to Python, but never a count or a rate
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"TrainConfig.{name} must be {what}, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(
                     f"TrainConfig.{name} must be finite and > 0, got {value}")

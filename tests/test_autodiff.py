@@ -293,6 +293,21 @@ def test_leaf_grads_accumulate_intermediates_reset():
     np.testing.assert_allclose(x.grad, 2 * first)
 
 
+def test_backward_drops_every_intermediate_grad():
+    """Once a node's backward has used its output's grad, the tape lets
+    it go: no recorded output holds a grad after backward, and the
+    leaves hold theirs, here through an intermediate with two consumers."""
+    x = t64((3,))
+    with ad.Tape() as tape:
+        y = ad.mul(x, x)
+        loss = weighted_sum(ad.add(y, ad.scale(y, 3.0)))
+        tape.backward(loss)
+    assert len(tape) == 5
+    assert all(node.out.grad is None for node in tape._nodes)
+    np.testing.assert_allclose(x.grad, 8.0 * x.data * np.random.default_rng(
+        0).standard_normal(3))
+
+
 def test_detach_blocks_gradient():
     x = t64((3,))
     with ad.Tape() as tape:

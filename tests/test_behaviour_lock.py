@@ -6,7 +6,9 @@ brute-force permutation loops to `linear_sum_assignment` and before the
 chunk geometry was fixed at hop K/2; the `separate` checksums before the
 BiLSTM input projection was computed one block of time steps at a time;
 the corpus digests before the generator's noise floor, SNR range and
-split shares became constants. Matching them shows those changes left
+split shares became constants; the gradient sums before backward dropped
+each intermediate gradient once used and the BiLSTM wrote its hidden
+states straight into its outputs. Matching them shows those changes left
 what a caller sees unchanged.
 Floats compare to a relative 1e-6 with no absolute floor, which is far
 below what a different channel assignment or crop would move them by.
@@ -19,9 +21,11 @@ import pathlib
 import numpy as np
 import pytest
 
+from voicesep import autodiff as ad
 from voicesep import data as dataio
-from voicesep import evalkit, trainer
-from voicesep.model import ModelConfig, init_params, separate
+from voicesep import evalkit, losses, trainer
+from voicesep.embedder import EmbedderConfig, init_embedder
+from voicesep.model import ModelConfig, forward, init_params, separate
 
 REL = 1e-6
 
@@ -137,6 +141,27 @@ def observe_train():
     return [log.train_loss for log in logs]
 
 
+def observe_gradients():
+    """Per-parameter gradient [sum, sum of squares] of one training step:
+    the multi-scale uPIT loss over two decode heads plus the weighted
+    identity loss, on a 1 s crop (two embedder clips per channel)."""
+    model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=4,
+                                    kernel_len=4, num_speakers=2,
+                                    chunk_len=6), seed=2)
+    model.set_requires_grad(True)
+    embedder = init_embedder(EmbedderConfig(n_classes=4), seed=3)
+    entry = entries([2], seed=1, duration=1.0)[0]
+    targets = [np.asarray(s, dtype=np.float32) for s in entry.sources]
+    with ad.Tape() as tape:
+        groups = forward(model, ad.Tensor(entry.mixture.astype(np.float32)))
+        loss, assigns = losses.multiscale_loss(targets, groups)
+        idl = losses.id_loss(targets, groups[-1], assigns[-1].perm, embedder)
+        tape.backward(ad.add(loss, ad.scale(idl, trainer.ID_WEIGHT)))
+    return {name: [float(np.sum(p.grad, dtype=np.float64)),
+                   float(np.sum(np.square(p.grad, dtype=np.float64)))]
+            for name, p in model.named_parameters()}
+
+
 EXPECTED_EVALUATE = [
     {"index": 0, "perm": [1, 0], "selected_c": 3, "si_snri": -6.702886,
      "switched": True, "true_c": 2},
@@ -166,6 +191,84 @@ EXPECTED_SEPARATE = [[0.02113557979464531, 2.7905944079975598e-05],
 
 EXPECTED_TRAIN = [7.1093714237213135, 6.319709777832031]
 
+# per parameter: [sum, sum of squares] of its gradient
+EXPECTED_GRADIENTS = {
+    "block1.lstm1.b":
+        [-2.787749675946543, 2.667615801728564],
+    "block1.lstm1.wh":
+        [-0.2686241364455668, 0.01267845462186612],
+    "block1.lstm1.wx":
+        [-0.7900631167177607, 0.03722522117459744],
+    "block1.lstm2.b":
+        [-1.1413323838169163, 1.873611548606382],
+    "block1.lstm2.wh":
+        [0.058296053410686, 0.009928357801554762],
+    "block1.lstm2.wx":
+        [-0.3070645633861204, 0.027302787103333708],
+    "block1.proj.b":
+        [72.38482880592346, 6139.316711585516],
+    "block1.proj.w":
+        [6.529400190906017, 460.47069637060173],
+    "block2.lstm1.b":
+        [1.3325705412098614, 0.9551105981301207],
+    "block2.lstm1.wh":
+        [0.012423880101960272, 1.3956896986771982e-05],
+    "block2.lstm1.wx":
+        [-0.05015314027602358, 0.0012803432704790972],
+    "block2.lstm2.b":
+        [-0.6018221657186587, 0.4000728980155087],
+    "block2.lstm2.wh":
+        [0.006140464476281249, 2.425740703132715e-05],
+    "block2.lstm2.wx":
+        [0.014055536406427649, 0.0008126977769955621],
+    "block2.proj.b":
+        [167.5567226409912, 47859.14777075661],
+    "block2.proj.w":
+        [-4.21116363647252, 805.744932508347],
+    "block3.lstm1.b":
+        [0.056133489092303535, 0.11624424632565358],
+    "block3.lstm1.wh":
+        [0.00021165469671686685, 4.7510951583120223e-07],
+    "block3.lstm1.wx":
+        [4.6793042376147564e-05, 7.435616106347842e-06],
+    "block3.lstm2.b":
+        [-0.029308159201036688, 0.085008798568077],
+    "block3.lstm2.wh":
+        [-0.0004968289055921615, 4.577429689919028e-07],
+    "block3.lstm2.wx":
+        [0.000688416807122616, 7.935493227341932e-06],
+    "block3.proj.b":
+        [238.68936347961426, 138238.7283478668],
+    "block3.proj.w":
+        [5.026182201755205, 111.78551042135152],
+    "block4.lstm1.b":
+        [0.26468140597829404, 0.21612075281699522],
+    "block4.lstm1.wh":
+        [-0.0005073072091960375, 1.0996095085343995e-07],
+    "block4.lstm1.wx":
+        [0.0012361574115429125, 2.8248517274149815e-06],
+    "block4.lstm2.b":
+        [0.08430524265989447, 0.028194049706913877],
+    "block4.lstm2.wh":
+        [-1.743445300030587e-05, 1.9334699666420182e-08],
+    "block4.lstm2.wx":
+        [0.0011256306777664565, 7.875522787804519e-07],
+    "block4.proj.b":
+        [-327.95672845840454, 1101528.73554804],
+    "block4.proj.w":
+        [-13.141463187707188, 115.51852897458625],
+    "decoder.b":
+        [10.989521980285645, 85309.83284255804],
+    "decoder.w":
+        [6.859604831784964, 110.94545161367031],
+    "encoder.kernel":
+        [4.450848869979382, 160.60547734445709],
+    "prelu.slope":
+        [2.701090097427368, 7.295887714420189],
+    "wavedec.kernel":
+        [4.553600341081619, 61.13336301085244],
+}
+
 EXPECTED_CORPUS = {"default": "c78e6069e626a7d742ad29eb017e239747f2a8c4",
                    "sized": "ada8c9afe4ed154f278725c5b2c295c85ce6ca3c"}
 
@@ -180,6 +283,10 @@ def test_tta_outputs_unchanged():
 
 def test_train_losses_unchanged():
     assert_close(observe_train(), EXPECTED_TRAIN)
+
+
+def test_training_step_gradients_unchanged():
+    assert_close(observe_gradients(), EXPECTED_GRADIENTS)
 
 
 def test_separate_outputs_unchanged():

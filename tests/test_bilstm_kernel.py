@@ -295,19 +295,26 @@ MEM_SHAPE = (64, 64, 32, 32)
 SLACK = 512 * 1024
 
 
-def mem_case():
-    B, S, F, H = MEM_SHAPE
-    x_data, set_data, _ = make_case(MEM_SHAPE, n_sets=2)
+def mem_case(shape=MEM_SHAPE):
+    B, S, F, H = shape
+    x_data, set_data, _ = make_case(shape, n_sets=2)
     x = Tensor(x_data, requires_grad=True)
     sets = [ad.LSTMParams(*(Tensor(a, requires_grad=True) for a in p))
             for p in set_data]
     D, item = 4, 4
     sizes = {"proj": S * B * D * 4 * H * item,
+             "proj_block": 2 * BLOCK * B * D // 2 * 4 * H * item,
+             "step": (D * B * 4 * H + 3 * D * B * H) * item,
+             "bwd_step": (6 * D * B * H + D * B * 3 * H) * item,
+             "params": D * (F + H + 1) * 4 * H * item,
              "outs": 2 * B * S * 2 * H * item,
              "gated": B * S * 2 * H * item,
              "gates": S * D * B * 4 * H * item,
              "cs": S * D * B * H * item,
              "hs": S * D * B * H * item,
+             "dZ": D * B * S * 4 * H * item,
+             "h_prev": 2 * B * S * H * item,
+             "x": B * S * F * item,
              "x_time_major": S * B * F * item,
              "input_copy": D * B * S * F * item,
              "tanh_c": D * B * S * H * item}
@@ -315,15 +322,18 @@ def mem_case():
     return x, sets, sizes
 
 
-def test_no_tape_call_peaks_below_outputs_plus_staging():
-    """No (S, B, D, 4H) projection: the input is projected one block of
-    steps at a time, so the peak is the outputs, the hidden-state staging
-    and one time-major input copy."""
+def test_no_tape_call_peaks_below_outputs_plus_one_input_copy():
+    """No (S, B, D, 4H) projection and no (S, D, B, H) hidden-state
+    staging: the input is projected one block of steps at a time, and
+    each step's hidden states go straight into the outputs. So the peak
+    is the outputs, one time-major input copy, one projection block and
+    the per-step scratch."""
     x, sets, sizes = mem_case()
     _, _, peak = traced_call(lambda: ad.bilstm_bank(x, sets))
-    bound = sizes["outs"] + sizes["hs"] + sizes["x_time_major"] + SLACK
-    assert bound < sizes["proj"]
-    assert sizes["outs"] + sizes["hs"] <= peak < bound
+    floor = sizes["outs"] + sizes["x_time_major"] + sizes["proj_block"]
+    bound = floor + sizes["step"] + SLACK
+    assert bound < floor + sizes["hs"]
+    assert floor <= peak < bound
 
 
 def test_taped_call_holds_no_input_copy_or_tanh_c():
@@ -338,3 +348,27 @@ def test_taped_call_holds_no_input_copy_or_tanh_c():
     _, held, _ = traced_call(call)
     saved = sizes["gates"] + sizes["cs"] + sizes["outs"] + sizes["gated"]
     assert saved <= held < saved + SLACK
+
+
+# A wide input, so that a (D, B, S, F) input-gradient block would not
+# fit within the slack of a bound that leaves it out.
+WIDE_SHAPE = (64, 64, 128, 32)
+
+
+def test_backward_peaks_without_a_stacked_input_gradient():
+    """Backward holds the output gradient, the time-major set-output
+    gradients, dZ, the stacked input rows for the input-weight gradient
+    and one set's h_prev, besides the per-step scratch and the parameter
+    gradients. It builds the input gradient one direction at a time, in a
+    forward sum, a reverse sum and one product: never a (D, B, S, F)
+    block."""
+    x, sets, sizes = mem_case(WIDE_SHAPE)
+    with ad.Tape() as tape:
+        loss = ad.mean_axes(ad.bilstm_bank(x, sets), (0, 1, 2))
+    _, _, peak = traced_call(lambda: tape.backward(loss))
+    held = (sizes["gated"] + sizes["hs"] + sizes["dZ"] + 2 * sizes["x"]
+            + sizes["h_prev"])
+    bound = held + sizes["bwd_step"] + sizes["params"] + 3 * sizes["x"] \
+        + SLACK
+    assert bound < held + sizes["input_copy"]
+    assert held + 3 * sizes["x"] <= peak < bound

@@ -354,6 +354,40 @@ def test_select_non_finite_threshold_exits_2(tmp_path, trained, threshold):
     assert code == 2
     assert not list(out.glob("channel*.wav"))
     assert not (out / "selection.json").exists()
+    assert not (out / "runconfig.json").exists()
+
+
+@pytest.mark.parametrize("config", [{"lr": "0.001"}, {"epochs": True},
+                                    {"batch": 1.5}, {"segment": "4"}])
+def test_train_config_value_of_wrong_type_exits_2(tmp_path, corpus, config):
+    """A config-file value that is not a number fails as a usage error
+    before anything is written, not with a TypeError traceback."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "t"
+    code = main(["train", "--out", str(out), "--data", corpus,
+                 "--config", str(cfgfile), "--ablate", "idloss",
+                 *SMALL_FLAGS])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,config", [(["--tta", "-1"], None),
+                                          ([], {"tta": "2"})])
+def test_tta_bad_count_exits_2_before_writing(tmp_path, trained, flags,
+                                              config):
+    wav = tmp_path / "x.wav"
+    dataio.wav_write(wav, np.zeros(400))
+    if config is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        flags = flags + ["--config", str(cfgfile)]
+    out = tmp_path / "o"
+    code = main(["tta", "--out", str(out), "--checkpoint",
+                 os.path.join(trained, "best.ckpt"), "--in", str(wav),
+                 *flags])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_select_requires_threshold_or_calibration(tmp_path, trained):

@@ -54,7 +54,8 @@ def test_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("epochs", -1), ("batch_size", 0), ("lr", float("nan")),
     ("lr", float("inf")), ("segment_s", float("nan")),
-    ("segment_s", float("inf")), ("segment_s", -0.5)])
+    ("segment_s", float("inf")), ("segment_s", -0.5), ("lr", "0.001"),
+    ("epochs", True), ("batch_size", 1.5), ("segment_s", None)])
 def test_config_requires_finite_positive_values(field, value):
     cfg = trainer.TrainConfig(epochs=1)
     setattr(cfg, field, value)
