@@ -313,7 +313,7 @@ def cmd_tta(args) -> int:
         raise UsageError(f"tta: --tta must be an integer >= 0, got {k!r}")
     rc.dump(args.out)
     model, x, rate = _load_separator_and_wav(args)
-    channels = evalkit.tta_separate(x, model, k=rc["tta"], seed=rc["seed"])
+    channels = evalkit.tta_separate(x, model, k=k, seed=rc["seed"])
     paths = _write_channels(args.out, channels, rate)
     print("\n".join(paths))
     return 0
