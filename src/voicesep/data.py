@@ -7,6 +7,8 @@ ideal-mask oracles don't trivialize the task.
 """
 
 import json
+import math
+import numbers
 import os
 import struct
 import numpy as np
@@ -214,6 +216,36 @@ def _split_speakers(speakers, min_per_split, split_sizes):
             "test": speakers[n_train + n_valid:]}
 
 
+def _is_count(value, least: int) -> bool:
+    # a bool is an int to Python, but never a count
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= least)
+
+
+def _check_corpus_args(utt_per_speaker, duration_s, mixture_counts):
+    """DataError unless build_corpus can honour its arguments in full."""
+    if not _is_count(utt_per_speaker, 1):
+        raise DataError("build_corpus: utt_per_speaker must be an integer "
+                        f">= 1, got {utt_per_speaker!r}")
+    if not 0.5 <= duration_s < math.inf:
+        raise DataError("build_corpus: duration_s must be finite and "
+                        f">= 0.5, got {duration_s!r}")
+    if not isinstance(mixture_counts, dict) or not mixture_counts:
+        raise DataError("build_corpus: mixture_counts must be a non-empty "
+                        f"{{C: count}} dict, got {mixture_counts!r}")
+    for c, want in mixture_counts.items():
+        counts = ([want.get(s) for s in SPLITS]
+                  if isinstance(want, dict) else [want])
+        # JSON gives C as decimal text
+        if isinstance(c, str) and c.isdecimal():
+            c = int(c)
+        if not (_is_count(c, 2) and all(_is_count(n, 0) for n in counts)):
+            raise DataError(
+                f"build_corpus: mixture_counts[{c!r}] = {want!r}, want an "
+                "integer C >= 2 mapped to a count >= 0 or to a count for "
+                f"each of {', '.join(SPLITS)}")
+
+
 def build_corpus(root, n_speakers: int, utt_per_speaker: int,
                  mixture_counts: dict, seed: int,
                  duration_s: float = 0.5,
@@ -225,7 +257,10 @@ def build_corpus(root, n_speakers: int, utt_per_speaker: int,
     counts, e.g. {"train": 4, "valid": 4, "test": 4}; the default is a
     50/25/25 split. Returns {split: manifest path}. Byte-identical given
     the same arguments (derived per-sample seeds, sorted key order).
+    Raises DataError before writing anything unless every C >= 2, every
+    count >= 0, utt_per_speaker >= 1 and duration_s >= 0.5.
     """
+    _check_corpus_args(utt_per_speaker, duration_s, mixture_counts)
     speakers = make_speakers(n_speakers, seed)
     min_per = max(int(c) for c in mixture_counts)
     splits = _split_speakers(speakers, max(2, min_per), split_sizes)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config resolution, exit codes."""
 
+import argparse
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from voicesep import checkpoint as ckpt
 from voicesep import errors
 from voicesep import data as dataio
-from voicesep.cli import main
+from voicesep.cli import build_parser, main
 from voicesep.embedder import EmbedderConfig, init_embedder
 from voicesep.model import ModelConfig, init_params
 
@@ -417,3 +418,146 @@ def test_every_error_class_carries_its_exit_code():
     found = {name: cls.exit_code for name, cls in vars(errors).items()
              if isinstance(cls, type) and issubclass(cls, Exception)}
     assert found == want
+
+
+def subparsers():
+    ap = build_parser()
+    action, = (a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# values of a JSON type other than the one each kind of flag parses to
+WRONG_JSON = {int: ["1", True, [1], 1.5], float: ["1", True, [1]],
+              None: [1, True, ["a"]], json.loads: ['{"2": 1}', True, [1]]}
+
+
+def wrong_config_cases():
+    for cmd, parser in subparsers().items():
+        for a in parser._actions:
+            if a.dest in ("help", "config", "out"):
+                continue
+            wrong = WRONG_JSON[a.type] + ([None] if a.default is not None
+                                          else [])
+            for value in wrong:
+                yield pytest.param(cmd, a.dest, value,
+                                   id=f"{cmd}-{a.dest}-{json.dumps(value)}")
+
+
+def required_flags(cmd, root):
+    """Every flag `cmd` requires, each given a path that does not exist
+    (a cascade labels it C=2)."""
+    absent = str(root / "absent")
+    return [x for a in subparsers()[cmd]._actions if a.required
+            and a.dest != "out"
+            for x in (a.option_strings[0],
+                      f"2={absent}" if a.dest == "cascade" else absent)]
+
+
+@pytest.mark.parametrize("cmd,key,value", list(wrong_config_cases()))
+def test_config_value_of_wrong_json_type_exits_2(tmp_path, cmd, key, value):
+    """Every flag of every command: a config value of another JSON type
+    than the flag parses to (null where the builtin default is not None)
+    is a usage error before anything is written."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    out = tmp_path / "o"
+    code = main([cmd, "--out", str(out), "--config", str(cfgfile),
+                 *required_flags(cmd, tmp_path)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text("[1]")
+    out = tmp_path / "o"
+    code = main(["synth-data", "--out", str(out), "--config", str(cfgfile)])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.fixture()
+def runs(tmp_path, corpus, trained):
+    """Per command: the flags it requires, then other flags to set."""
+    entry = dataio.load_manifest(os.path.join(corpus, "test.jsonl"))[0]
+    wav = str(tmp_path / "mix.wav")
+    dataio.wav_write(wav, entry.mixture)
+    best = os.path.join(trained, "best.ckpt")
+    return {
+        "synth-data": ([], ["--n-speakers", "8", "--utts", "1", "--seed",
+                            "4", "--counts",
+                            '{"2": {"train": 2, "valid": 1, "test": 1}}']),
+        "train": (["--data", corpus],
+                  ["--epochs", "1", "--segment", "0.25", "--lr", "0.001",
+                   "--batch", "1", "--ablate", "idloss", *SMALL_FLAGS]),
+        "separate": (["--checkpoint", best, "--in", wav], ["--seed", "2"]),
+        "eval": (["--checkpoint", best, "--manifest",
+                  os.path.join(corpus, "test.jsonl")], ["--tta", "1"]),
+        "select": (["--cascade", f"2={best}", "--in", wav],
+                   ["--threshold", "-60"]),
+        "tta": (["--checkpoint", best, "--in", wav], ["--tta", "1"])}
+
+
+@pytest.mark.parametrize("cmd", ["synth-data", "train", "separate", "eval",
+                                 "select", "tta"])
+def test_runconfig_resolves_to_itself(tmp_path, runs, cmd):
+    """runconfig.json holds every setting but config and out, and given
+    back as --config with the required flags it resolves to itself."""
+    required, other = runs[cmd]
+    assert main([cmd, "--out", str(tmp_path / "a"), *required,
+                  *other]) == 0
+    first = json.loads((tmp_path / "a" / "runconfig.json").read_text())
+    dests = {a.dest for a in subparsers()[cmd]._actions}
+    assert set(first) == dests - {"help", "config", "out"}
+    assert main([cmd, "--out", str(tmp_path / "b"), *required, "--config",
+                 str(tmp_path / "a" / "runconfig.json")]) == 0
+    again = json.loads((tmp_path / "b" / "runconfig.json").read_text())
+    assert again == first
+
+
+@pytest.mark.parametrize("flags", [
+    ["--utts", "0"], ["--duration", "0.4"], ["--counts", "{}"],
+    ["--counts", "[1]"], ["--counts", '{"x": 3}'], ["--counts", '{"1": 2}'],
+    ["--counts", '{"2": -1}'], ["--counts", '{"2": {"train": 200}}']])
+def test_synth_data_bad_corpus_exits_3_before_any_audio(tmp_path, flags):
+    out = tmp_path / "c"
+    code = main(["synth-data", "--out", str(out), *flags])
+    assert code == 3
+    assert os.listdir(out) == ["runconfig.json"]
+
+
+@pytest.mark.parametrize("flags", [["--blocks", "3"], ["--kernel", "3"],
+                                   ["--filters", "0"]])
+def test_train_bad_model_config_exits_2_before_writing(tmp_path, corpus,
+                                                       flags):
+    out = tmp_path / "t"
+    code = main(["train", "--out", str(out), "--data", corpus,
+                 "--epochs", "1", "--segment", "0.25", "--ablate", "idloss",
+                 *SMALL_FLAGS, *flags])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cascade", ["x={best}", "2={best},2={best}",
+                                     "={best}", "2.0={best}"])
+def test_select_bad_cascade_labels_exit_2_before_writing(tmp_path, trained,
+                                                         cascade):
+    wav = tmp_path / "x.wav"
+    dataio.wav_write(wav, np.zeros(400))
+    out = tmp_path / "o"
+    best = os.path.join(trained, "best.ckpt")
+    code = main(["select", "--out", str(out), "--cascade",
+                 cascade.format(best=best), "--threshold", "-60",
+                 "--in", str(wav)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_eval_negative_tta_exits_2_before_writing(tmp_path, corpus, trained):
+    out = tmp_path / "ev"
+    code = main(["eval", "--out", str(out), "--checkpoint",
+                 os.path.join(trained, "best.ckpt"), "--manifest",
+                 os.path.join(corpus, "test.jsonl"), "--tta", "-1"])
+    assert code == 2
+    assert not out.exists()

@@ -214,3 +214,28 @@ def test_embedder_corpus_rejects_other_sample_rate(tmp_path):
                      np.zeros(16000), 16000)
     with pytest.raises(DataError, match="spk01_u000.wav"):
         dataio.embedder_corpus(tmp_path, "train")
+
+
+@pytest.mark.parametrize("override", [
+    {"utt_per_speaker": 0}, {"utt_per_speaker": 1.5},
+    {"duration_s": 0.4}, {"duration_s": float("nan")},
+    {"duration_s": float("inf")},
+    {"mixture_counts": {}}, {"mixture_counts": [1]},
+    {"mixture_counts": {"x": 3}}, {"mixture_counts": {"1": 2}},
+    {"mixture_counts": {1: 2}}, {"mixture_counts": {True: 2}},
+    {"mixture_counts": {"2": -1}}, {"mixture_counts": {2: 2.5}},
+    {"mixture_counts": {2: True}}, {"mixture_counts": {2: {"train": 200}}},
+    {"mixture_counts": {2: {"train": 2, "valid": 1, "test": -1}}}],
+    ids=repr)
+def test_build_corpus_refuses_bad_arguments_before_writing(tmp_path,
+                                                           override):
+    """Every count a C >= 2 maps to is an integer >= 0 (for each split
+    when given per split), there is at least one utterance per speaker
+    of at least 0.5 s, or nothing is written."""
+    root = tmp_path / "corpus"
+    kwargs = dict(n_speakers=8, utt_per_speaker=1, mixture_counts={"2": 1},
+                  seed=0, duration_s=0.5)
+    with pytest.raises(DataError):
+        dataio.build_corpus(root, **{**kwargs, **override})
+    assert not root.exists()
+
