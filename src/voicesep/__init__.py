@@ -19,11 +19,11 @@ from .errors import (CheckpointError, ConfigurationError, DataError,
                      InputError, NumericError, UsageError, VoicesepError)
 from .evalkit import (EvalReport, aligned_si_snri, calibrate_threshold,
                       evaluate, ibm_oracle, irm_oracle, select_count,
-                      si_snri, switch_rate, tta_separate)
+                      tta_separate)
 from .losses import id_loss, multiscale_loss, si_snr, upit
 from .model import ModelConfig, SeparatorModel, forward, init_params, separate
 from .optim import Adam, clip_global_norm
-from .trainer import TrainConfig, train, validate
+from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "init_params", "irm_oracle", "load_checkpoint", "load_embedder",
     "load_manifest", "load_separator", "make_mixture", "make_speakers",
     "multiscale_loss", "save_checkpoint", "save_embedder", "save_separator",
-    "select_count", "separate", "si_snr", "si_snri", "switch_rate",
-    "synth_utterance", "train", "train_embedder", "tta_separate",
-    "upit", "validate", "wav_read", "wav_write",
+    "select_count", "separate", "si_snr", "synth_utterance", "train",
+    "train_embedder", "tta_separate", "upit", "wav_read", "wav_write",
 ]

@@ -18,9 +18,11 @@ resume mid-schedule with bit-identical arithmetic.
 """
 
 import json
+from dataclasses import fields
+
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, VoicesepError
 from .model import ModelConfig, SeparatorModel, init_params
 from .embedder import EmbedderConfig, EmbedderModel, init_embedder
 
@@ -112,6 +114,21 @@ def load_checkpoint(path):
     return kind, config, seed, step, arrays
 
 
+def _build(path, config_cls, config, init):
+    """A fresh model from a header's config. CheckpointError, naming the
+    file, unless the config is a JSON object whose keys config_cls has
+    and whose values both the config and the model accept."""
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config is not a JSON object")
+    unknown = sorted(set(config) - {f.name for f in fields(config_cls)})
+    if unknown:
+        raise CheckpointError(f"{path}: config has unknown keys {unknown}")
+    try:
+        return init(config_cls.from_dict(config), seed=0)
+    except (TypeError, ValueError, ArithmeticError, VoicesepError) as e:
+        raise CheckpointError(f"{path}: config refused: {e}") from e
+
+
 def _split_optimizer(arrays: dict):
     params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
     opt = {k: v for k, v in arrays.items() if k.startswith("adam.")}
@@ -136,8 +153,7 @@ def load_separator(path):
     kind, config, seed, step, arrays = load_checkpoint(path)
     if kind != "separator":
         raise CheckpointError(f"{path}: kind {kind!r}, expected separator")
-    cfg = ModelConfig.from_dict(config)
-    model = init_params(cfg, seed=0)
+    model = _build(path, ModelConfig, config, init_params)
     params, opt = _split_optimizer(arrays)
     _install(path, model, params)
     return model, seed, step, opt
@@ -155,8 +171,7 @@ def load_embedder(path):
     kind, config, seed, step, arrays = load_checkpoint(path)
     if kind != "embedder":
         raise CheckpointError(f"{path}: kind {kind!r}, expected embedder")
-    cfg = EmbedderConfig.from_dict(config)
-    model = init_embedder(cfg, seed=0)
+    model = _build(path, EmbedderConfig, config, init_embedder)
     params, _ = _split_optimizer(arrays)
     _install(path, model, params)
     return model, seed, step

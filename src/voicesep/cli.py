@@ -18,7 +18,6 @@ class's `exit_code`: 2 (usage), 3 (data), 4 (checkpoint), or 5 (numeric).
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -258,7 +257,8 @@ def _parse_cascade(spec: str) -> dict:
 
 def cmd_select(args) -> int:
     threshold = args.threshold
-    if threshold is not None and not math.isfinite(threshold):
+    # False for NaN, an infinity and an int too large for a float alike
+    if threshold is not None and not abs(threshold) <= sys.float_info.max:
         raise UsageError(f"select: threshold {threshold!r} is not a finite "
                          "number")
     models = _parse_cascade(args.cascade)
@@ -338,6 +338,8 @@ def main(argv=None) -> int:
             parser = commands[args.cmd]
             parser.set_defaults(**_config_defaults(args.config, parser))
             args = ap.parse_args(argv)
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.cmd](args)
     except VoicesepError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -101,8 +101,7 @@ class MixtureSample:
         return [g * s for g, s in zip(self.gains, self.sources)]
 
 
-def make_mixture(sources, speaker_ids, seed,
-                 forced_snrs=None) -> MixtureSample:
+def make_mixture(sources, speaker_ids, seed) -> MixtureSample:
     """Sum sources with the first at gain 1 and each other source at a
     random SNR drawn uniformly from 0 to 5 dB below the first."""
     c = len(sources)
@@ -119,8 +118,7 @@ def make_mixture(sources, speaker_ids, seed,
     rng = np.random.default_rng(seed)
     gains = [1.0]
     for i in range(1, c):
-        snr = (forced_snrs[i - 1] if forced_snrs is not None
-               else rng.uniform(*_SNR_RANGE_DB))
+        snr = rng.uniform(*_SNR_RANGE_DB)
         gains.append(float(np.sqrt(powers[0] / (powers[i] * 10 ** (snr / 10)))))
     x = np.zeros(len(sources[0]))
     for g, s in zip(gains, sources):
@@ -222,8 +220,11 @@ def _is_count(value, least: int) -> bool:
             and not isinstance(value, bool) and value >= least)
 
 
-def _check_corpus_args(utt_per_speaker, duration_s, mixture_counts):
+def _check_corpus_args(utt_per_speaker, duration_s, mixture_counts, seed):
     """DataError unless build_corpus can honour its arguments in full."""
+    if not _is_count(seed, 0):
+        raise DataError(f"build_corpus: seed must be an integer >= 0, got "
+                        f"{seed!r}")
     if not _is_count(utt_per_speaker, 1):
         raise DataError("build_corpus: utt_per_speaker must be an integer "
                         f">= 1, got {utt_per_speaker!r}")
@@ -258,9 +259,9 @@ def build_corpus(root, n_speakers: int, utt_per_speaker: int,
     50/25/25 split. Returns {split: manifest path}. Byte-identical given
     the same arguments (derived per-sample seeds, sorted key order).
     Raises DataError before writing anything unless every C >= 2, every
-    count >= 0, utt_per_speaker >= 1 and duration_s >= 0.5.
+    count >= 0, utt_per_speaker >= 1, duration_s >= 0.5 and seed >= 0.
     """
-    _check_corpus_args(utt_per_speaker, duration_s, mixture_counts)
+    _check_corpus_args(utt_per_speaker, duration_s, mixture_counts, seed)
     speakers = make_speakers(n_speakers, seed)
     min_per = max(int(c) for c in mixture_counts)
     splits = _split_speakers(speakers, max(2, min_per), split_sizes)

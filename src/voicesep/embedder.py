@@ -3,7 +3,7 @@
 A small 3-stage convolutional classifier over log-compressed power
 spectrograms (20 ms Hamming window, 10 ms hop) of 500 ms clips, trained as
 a closed-set classifier on the training speakers. The penultimate layer
-(width 64 by default) is the embedding used by the identity loss. Every
+(width 64) is the embedding used by the identity loss. Every
 forward method takes a (B, clip_len) batch of clips and runs it through
 the network in one pass.
 """
@@ -26,42 +26,37 @@ TRAIN_LR = 1e-3
 TRAIN_BATCH = 16
 HOLDOUT_FRAC = 0.2
 
+# The network: spectrogram window and hop (the FFT is one window long),
+# clip length, embedding width, and the channels of each conv stage.
+WIN_MS = 20.0
+HOP_MS = 10.0
+CLIP_S = 0.5
+EMBED_DIM = 64
+CONV_CHANNELS = (8, 16, 32)
+
 
 @dataclass
 class EmbedderConfig:
     sample_rate: int = 8000
-    win_ms: float = 20.0
-    hop_ms: float = 10.0
-    clip_s: float = 0.5
-    embed_dim: int = 64
-    conv_channels: tuple = (8, 16, 32)
     n_classes: int = 0  # set when trained
 
     @property
     def win_len(self) -> int:
-        return int(round(self.win_ms * self.sample_rate / 1000.0))
+        return int(round(WIN_MS * self.sample_rate / 1000.0))
 
     @property
     def hop(self) -> int:
-        return int(round(self.hop_ms * self.sample_rate / 1000.0))
-
-    @property
-    def nfft(self) -> int:
-        return self.win_len
+        return int(round(HOP_MS * self.sample_rate / 1000.0))
 
     @property
     def clip_len(self) -> int:
-        return int(round(self.clip_s * self.sample_rate))
+        return int(round(CLIP_S * self.sample_rate))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["conv_channels"] = list(self.conv_channels)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmbedderConfig":
-        d = dict(d)
-        d["conv_channels"] = tuple(d["conv_channels"])
         return cls(**d)
 
 
@@ -69,7 +64,6 @@ class EmbedderConfig:
 class EmbedderModel:
     config: EmbedderConfig
     params: dict = field(default_factory=dict)
-    classes: list = field(default_factory=list)  # speaker ids by class index
 
     def named_parameters(self):
         return sorted(self.params.items())
@@ -84,21 +78,21 @@ class EmbedderModel:
         """Log-compressed power spectrograms of (B, clip_len) clips as a
         (B, 1, frames, bins) batch of images."""
         cfg = self.config
-        p = dsp.power_spectrogram(clips, cfg.win_len, cfg.hop, cfg.nfft)
+        p = dsp.power_spectrogram(clips, cfg.win_len, cfg.hop, cfg.win_len)
         feat = ad.log1p(p)
         return ad.reshape(feat, (feat.shape[0], 1) + tuple(feat.shape[1:]))
 
     def embed_tensor(self, clips: Tensor) -> Tensor:
-        """Differentiable (B, embed_dim) embeddings of (B, clip_len)
+        """Differentiable (B, EMBED_DIM) embeddings of (B, clip_len)
         clips."""
         cfg = self.config
         if clips.data.ndim != 2 or clips.shape[1] != cfg.clip_len:
             raise InputError(
                 f"embed: clips must be (B, {cfg.clip_len}) samples "
-                f"({cfg.clip_s:g} s at {cfg.sample_rate} Hz), got shape "
+                f"({CLIP_S:g} s at {cfg.sample_rate} Hz), got shape "
                 f"{tuple(clips.shape)}")
         h = self.features(clips)
-        for stage in range(len(cfg.conv_channels)):
+        for stage in range(len(CONV_CHANNELS)):
             h = ad.conv2d(h, self.params[f"conv{stage}.kernel"])
             h = ad.clamp_min(h, 0.0)
             h = ad.avgpool2d(h)
@@ -113,8 +107,8 @@ class EmbedderModel:
                          self.params["cls.b"])
 
 
-def _conv_out_hw(h: int, w: int, channels: tuple) -> tuple:
-    for _ in channels:
+def _conv_out_hw(h: int, w: int) -> tuple:
+    for _ in CONV_CHANNELS:
         h, w = (h - 2) // 2, (w - 2) // 2
     return h, w
 
@@ -125,13 +119,13 @@ def init_embedder(config: EmbedderConfig, seed: int) -> EmbedderModel:
     if cfg.n_classes < 2:
         raise DataError("embedder needs at least 2 speaker classes")
     n_frames = 1 + int(np.ceil(cfg.clip_len / cfg.hop))
-    n_bins = cfg.nfft // 2 + 1
-    hw = _conv_out_hw(n_frames, n_bins, cfg.conv_channels)
+    n_bins = cfg.win_len // 2 + 1
+    hw = _conv_out_hw(n_frames, n_bins)
     if min(hw) < 1:
         raise DataError("embedder: clip too short for the conv stack")
     p: dict[str, np.ndarray] = {}
     cin = 1
-    for stage, cout in enumerate(cfg.conv_channels):
+    for stage, cout in enumerate(CONV_CHANNELS):
         fan = cin * 9
         lim = 1.0 / np.sqrt(fan)
         p[f"conv{stage}.kernel"] = rng.uniform(
@@ -139,11 +133,11 @@ def init_embedder(config: EmbedderConfig, seed: int) -> EmbedderModel:
         cin = cout
     lim = 1.0 / np.sqrt(cin)
     p["embed.w"] = rng.uniform(-lim, lim,
-                               size=(cin, cfg.embed_dim)).astype(np.float32)
-    p["embed.b"] = np.zeros(cfg.embed_dim, dtype=np.float32)
-    lim = 1.0 / np.sqrt(cfg.embed_dim)
+                               size=(cin, EMBED_DIM)).astype(np.float32)
+    p["embed.b"] = np.zeros(EMBED_DIM, dtype=np.float32)
+    lim = 1.0 / np.sqrt(EMBED_DIM)
     p["cls.w"] = rng.uniform(
-        -lim, lim, size=(cfg.embed_dim, cfg.n_classes)).astype(np.float32)
+        -lim, lim, size=(EMBED_DIM, cfg.n_classes)).astype(np.float32)
     p["cls.b"] = np.zeros(cfg.n_classes, dtype=np.float32)
     model = EmbedderModel(config=cfg)
     for name, arr in p.items():
@@ -202,7 +196,6 @@ def train_embedder(corpus, epochs: int = 20, seed: int = 0):
                 train_labels.append(label)
 
     model = init_embedder(cfg, seed)
-    model.classes = classes
     opt = Adam(model.named_parameters(), lr=TRAIN_LR)
     train_clips, train_labels = np.stack(train_clips), np.array(train_labels)
     n = len(train_clips)

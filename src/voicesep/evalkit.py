@@ -2,7 +2,7 @@
 augmentation, the channel-switch metric, and ideal-mask oracles."""
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,50 +16,34 @@ from .errors import ConfigurationError, DataError, InputError, UsageError
 ACTIVITY_FLOOR = 1e-12
 SWITCH_ENERGY_GATE_DB = -60.0
 SWITCH_CLIP_S = 0.25
+# calibrate_threshold's candidates: -70 to -10 dB in 2.5 dB steps
+THRESHOLD_GRID_DB = [float(g) for g in np.arange(-70.0, -9.9, 2.5)]
 
 
 def _f64(chans) -> list:
     return [np.asarray(ch, dtype=np.float64) for ch in chans]
 
 
-def align(targets, estimates) -> tuple:
-    """(pairwise SI-SNR matrix, optimal assignment) of targets to distinct
-    estimates (no gradients involved). The assignment comes from
-    losses.best_permutation: deterministic, and the all-equal matrix gives
-    the identity; target i maps to estimate perm[i].
+def aligned_si_snri(targets, estimates, mixture) -> tuple:
+    """(mean SI-SNRi at the optimal assignment, that assignment).
 
-    Estimates may outnumber targets (the extra channels stay unassigned);
-    fewer estimates than targets raise InputError.
+    Targets map to distinct estimates by losses.best_permutation on the
+    pairwise SI-SNR matrix (no gradients involved): deterministic, and
+    the all-equal matrix gives the identity; target i maps to estimate
+    perm[i]. Estimates may outnumber targets (the extra channels stay
+    unassigned); fewer estimates than targets raise InputError. Each
+    target's SI-SNR is the matrix cell: only the mixture's score is
+    computed here.
     """
     if len(estimates) < len(targets):
-        raise InputError(f"align: {len(estimates)} channels for "
+        raise InputError(f"aligned_si_snri: {len(estimates)} channels for "
                          f"{len(targets)} sources")
-    mat = losses.pairwise_matrix(_f64(targets), _f64(estimates))
-    return mat, losses.best_permutation(mat)
-
-
-def si_snri(targets, estimates, mixture) -> float:
-    """Mean per-channel SI-SNR improvement over scoring the raw mixture.
-
-    Channels must already be aligned (estimate i belongs to target i).
-    """
-    if len(targets) != len(estimates):
-        raise InputError(
-            f"si_snri: {len(targets)} targets vs {len(estimates)} estimates")
-    mix = np.asarray(mixture, dtype=np.float64)
-    vals = [losses.si_snr(t, e).item() - losses.si_snr(t, mix).item()
-            for t, e in zip(_f64(targets), _f64(estimates))]
-    return float(np.mean(vals))
-
-
-def aligned_si_snri(targets, estimates, mixture) -> tuple:
-    """(SI-SNRi at the optimal assignment, that assignment); see align.
-    Each target's SI-SNR is the alignment matrix's cell: only the
-    mixture's score is computed here."""
-    mat, perm = align(targets, estimates)
+    targets = _f64(targets)
+    mat = losses.pairwise_matrix(targets, _f64(estimates))
+    perm = losses.best_permutation(mat)
     mix = np.asarray(mixture, dtype=np.float64)
     vals = [mat[i, perm[i]] - losses.si_snr(t, mix).item()
-            for i, t in enumerate(_f64(targets))]
+            for i, t in enumerate(targets)]
     return float(np.mean(vals)), perm
 
 
@@ -105,9 +89,11 @@ def select_count(x, models: dict, threshold: float):
 
     models: {C: SeparatorModel}, contiguous C range. Returns
     (SelectionReport, channels of the accepted model). A non-finite
-    threshold raises UsageError before anything is separated.
+    threshold, or an integer beyond float range, raises UsageError before
+    anything is separated.
     """
-    if not math.isfinite(threshold):
+    # False for NaN, an infinity and an int too large for a float alike
+    if not abs(threshold) <= sys.float_info.max:
         raise UsageError(f"select_count: threshold {threshold} is not finite")
     cs = _contiguous_counts(models, "select_count")
     report = SelectionReport(chosen_c=cs[-1], threshold=float(threshold))
@@ -122,8 +108,8 @@ def select_count(x, models: dict, threshold: float):
     return report, chans[report.chosen_c]
 
 
-def calibrate_threshold(samples, models, grid=None) -> float:
-    """Pick the activity threshold that best recovers known counts.
+def calibrate_threshold(samples, models) -> float:
+    """Pick the THRESHOLD_GRID_DB value that best recovers known counts.
 
     samples: iterable of (mixture, true C). Deterministic: ties go to the
     lowest grid value. Separations are computed once per (sample, model).
@@ -132,9 +118,6 @@ def calibrate_threshold(samples, models, grid=None) -> float:
     samples = list(samples)
     if not samples:
         raise DataError("calibrate_threshold: empty validation set")
-    if grid is None:
-        grid = np.arange(-70.0, -9.9, 2.5)
-    grid = [float(g) for g in grid]
     # precompute per-sample per-C channel levels
     level_sets = []
     for x, true_c in samples:
@@ -142,8 +125,8 @@ def calibrate_threshold(samples, models, grid=None) -> float:
                      for ch in separator.separate(m, x)]
                  for c, m in models.items()}
         level_sets.append((per_c, true_c))
-    best_thr, best_acc = grid[0], -1.0
-    for thr in grid:
+    best_thr, best_acc = THRESHOLD_GRID_DB[0], -1.0
+    for thr in THRESHOLD_GRID_DB:
         hits = sum(_descend(cs, per_c.__getitem__, thr) == true_c
                    for per_c, true_c in level_sets)
         acc = hits / len(level_sets)
@@ -181,29 +164,6 @@ def tta_separate(x, model, k: int, seed: int) -> list:
     return [a / (k + 1) for a in acc]
 
 
-def switch_rate(entries, model, outputs=None) -> float:
-    """Fraction of samples whose channel-to-target matching changes over
-    time.
-
-    Each sample is cut into SWITCH_CLIP_S sub-clips; within each sub-clip
-    every output channel is assigned to its best-SI-SNR target. Sub-clips
-    whose target energy falls below -60 dB are excluded (argmax over
-    silence is noise). A sample counts as switching if any channel's
-    assignment changes across the included sub-clips.
-    """
-    entries = list(entries)
-    if not entries:
-        raise DataError("switch_rate: no samples")
-    clip = int(round(SWITCH_CLIP_S * data.SAMPLE_RATE))
-    flagged = 0
-    for idx, entry in enumerate(entries):
-        ests = (outputs[idx] if outputs is not None
-                else separator.separate(model, entry.mixture))
-        if flag_switch(entry.sources, ests, clip):
-            flagged += 1
-    return flagged / len(entries)
-
-
 def flag_switch(targets, estimates, clip_len: int) -> bool:
     """True if any estimate's best-SI-SNR target changes across the
     clip_len sub-clips where every target is active."""
@@ -219,28 +179,29 @@ def flag_switch(targets, estimates, clip_len: int) -> bool:
     return any(len(set(a)) > 1 for a in zip(*assignments))
 
 
-# --- ideal-mask oracles (32 ms window, 8 ms hop, 2048-point FFT) ---
+# --- ideal-mask oracles (SAMPLE_RATE audio; 32 ms window, 8 ms hop,
+# 2048-point FFT) ---
 
 ORACLE_WIN_MS = 32
 ORACLE_HOP_MS = 8
 ORACLE_NFFT = 2048
 
 
-def _oracle_specs(x, sources, sample_rate):
-    win = sample_rate * ORACLE_WIN_MS // 1000
-    hop = sample_rate * ORACLE_HOP_MS // 1000
+def _oracle_specs(x, sources):
+    win = data.SAMPLE_RATE * ORACLE_WIN_MS // 1000
+    hop = data.SAMPLE_RATE * ORACLE_HOP_MS // 1000
     mix_spec = dsp.stft(x, win, hop, ORACLE_NFFT)
     src_mags = [np.abs(dsp.stft(s, win, hop, ORACLE_NFFT).bins)
                 for s in sources]
     return mix_spec, src_mags
 
 
-def ibm_oracle(x, sources, sample_rate: int = 8000) -> list:
+def ibm_oracle(x, sources) -> list:
     """Ideal binary masks: per-bin one-hot on the loudest source, applied
     to the mixture spectrogram with mixture phase."""
     if len(sources) == 1:
         return [np.asarray(x, dtype=np.float64).copy()]
-    mix_spec, mags = _oracle_specs(x, sources, sample_rate)
+    mix_spec, mags = _oracle_specs(x, sources)
     stacked = np.stack(mags)
     winner = np.argmax(stacked, axis=0)
     return [dsp.mixture_phase_reconstruct((winner == i).astype(np.float64),
@@ -248,11 +209,11 @@ def ibm_oracle(x, sources, sample_rate: int = 8000) -> list:
             for i in range(len(sources))]
 
 
-def irm_oracle(x, sources, sample_rate: int = 8000) -> list:
+def irm_oracle(x, sources) -> list:
     """Ideal ratio masks |S_i| / sum_j |S_j| (denominator floored)."""
     if len(sources) == 1:
         return [np.asarray(x, dtype=np.float64).copy()]
-    mix_spec, mags = _oracle_specs(x, sources, sample_rate)
+    mix_spec, mags = _oracle_specs(x, sources)
     total = np.maximum(np.sum(np.stack(mags), axis=0), 1e-12)
     return [dsp.mixture_phase_reconstruct(m / total, mix_spec)
             for m in mags]
@@ -335,12 +296,16 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
     distinct channels, and superfluous channels are left out. Fewer
     channels than references raise InputError. A cascade without a
     threshold, or neither a model nor a cascade, raises UsageError before
-    anything is separated.
+    anything is separated; an empty entry list raises DataError.
     """
     if models is not None and threshold is None:
         raise UsageError("evaluate: a cascade (models) needs a threshold")
     if models is None and model is None:
         raise UsageError("evaluate: give a model or a cascade (models)")
+    entries = list(entries)
+    if not entries:
+        raise DataError("evaluate: no samples")
+    clip = int(round(SWITCH_CLIP_S * data.SAMPLE_RATE))
     report = EvalReport()
     for idx, entry in enumerate(entries):
         true_c = len(entry.sources)
@@ -354,7 +319,6 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
             selected_c = len(ests)
         refs = entry.sources
         value, perm = aligned_si_snri(refs, ests, entry.mixture)
-        clip = int(round(SWITCH_CLIP_S * data.SAMPLE_RATE))
         ordered = [ests[perm[i]] for i in range(len(refs))]
         switched = flag_switch(refs, ordered, clip)
         report.samples.append(SampleResult(

@@ -146,11 +146,14 @@ def mulcat_block(model: SeparatorModel, v: Tensor, index: int) -> Tensor:
     along_r = index % 2 == 1
     seqs = ad.transpose(v, (1, 0, 2)) if along_r else v  # (B, S, N)
     n_lstms = 2 if model.config.gating else 1
-    gated = ad.bilstm_bank(seqs, [model.lstm_params(index, j)
-                                  for j in range(1, n_lstms + 1)])
-    cat = ad.concat([gated, seqs], axis=2)  # (B, S, 2H + N)
-    proj = ad.linear(cat, model.params[f"block{index}.proj.w"],
-                     model.params[f"block{index}.proj.b"])
+    # unbound, the gated product and the (B, S, 2H + N) concatenation are
+    # freed as soon as the next op has read them when no tape holds them
+    proj = ad.linear(
+        ad.concat([ad.bilstm_bank(seqs, [model.lstm_params(index, j)
+                                         for j in range(1, n_lstms + 1)]),
+                   seqs], axis=2),
+        model.params[f"block{index}.proj.w"],
+        model.params[f"block{index}.proj.b"])
     return ad.transpose(proj, (1, 0, 2)) if along_r else proj
 
 

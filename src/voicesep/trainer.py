@@ -4,6 +4,7 @@ Adam with a stepped LR decay, gradient clipping, per-epoch validation."""
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ class TrainConfig:
     idloss: bool = True
 
     def validate(self) -> None:
+        # numpy's generators take only a seed that is an integer >= 0
+        if isinstance(self.seed, bool) or not (
+                isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigurationError(
+                f"TrainConfig.seed must be an integer >= 0, got "
+                f"{self.seed!r}")
         for name, kind, what in (
                 ("epochs", numbers.Integral, "an integer"),
                 ("lr", numbers.Real, "a real number"),
@@ -46,9 +53,11 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigurationError(
                     f"TrainConfig.{name} must be {what}, got {value!r}")
-            if not (math.isfinite(value) and value > 0):
+            # False for NaN, an infinity and an int too large for a float
+            if not 0 < value <= sys.float_info.max:
                 raise ConfigurationError(
-                    f"TrainConfig.{name} must be finite and > 0, got {value}")
+                    f"TrainConfig.{name} must be > 0 and in float range, "
+                    f"got {value}")
 
     def lr_at(self, epoch: int) -> float:
         """LR for a 1-based epoch: decayed once per DECAY_EVERY epochs."""
@@ -165,7 +174,7 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
             opt.step()
             opt.zero_grad()
             epoch_losses.append(value)
-        val = (validate(model, valid_entries)
+        val = (evalkit.evaluate(valid_entries, model).mean_si_snri
                if valid_entries is not None else float("nan"))
         entry = EpochLog(epoch=epoch, lr=opt.lr,
                          train_loss=float(np.mean(epoch_losses)),
@@ -184,14 +193,3 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
                                     optimizer=opt)
     return model, logs
 
-
-def validate(model, entries) -> float:
-    """Mean SI-SNRi of final-scale separations at the optimal channel
-    assignment. Pure read: no parameter mutation."""
-    vals = []
-    for entry in entries:
-        ests = separator.separate(model, entry.mixture)
-        value, _ = evalkit.aligned_si_snri(entry.sources, ests,
-                                           entry.mixture)
-        vals.append(value)
-    return float(np.mean(vals))

@@ -145,3 +145,39 @@ def test_non_finite_array_rejected(tmp_path, bad):
     ckpt.save_separator(p, model, seed=0, step=0)
     with pytest.raises(CheckpointError, match="'decoder.b'.*non-finite"):
         ckpt.load_separator(p)
+
+
+def parameter_arrays(model):
+    return {name: p.data for name, p in model.named_parameters()}
+
+
+@pytest.mark.parametrize("config", [
+    {**SMALL.to_dict(), "bogus": 1}, {"n_filters": "8"}, [1], None,
+    {**SMALL.to_dict(), "num_blocks": 3}, {**SMALL.to_dict(), "hidden": 8.5}],
+    ids=["unknown_key", "string", "list", "null", "odd_blocks",
+         "float_width"])
+def test_bad_separator_config_raises_checkpoint_error(tmp_path, config):
+    """A header config that is not an object of ModelConfig's keys, or
+    that the config or the model refuses, fails naming the file."""
+    p = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(p, "separator", config, 0, 0,
+                         parameter_arrays(init_params(SMALL, seed=0)))
+    with pytest.raises(CheckpointError, match="m.ckpt"):
+        ckpt.load_separator(p)
+
+
+@pytest.mark.parametrize("config", [
+    {"sample_rate": 8000, "n_classes": 3, "win_ms": 20.0, "hop_ms": 10.0,
+     "clip_s": 0.5, "embed_dim": 64, "conv_channels": [8, 16, 32]},
+    {"n_classes": 1}, {"sample_rate": "8000", "n_classes": 3}, [3]],
+    ids=["retired_keys", "one_class", "string", "list"])
+def test_bad_embedder_config_raises_checkpoint_error(tmp_path, config):
+    """The window, hop, clip, embedding width and conv channels are
+    constants, so a file that still sets them is refused like any other
+    config the embedder cannot be built from."""
+    p = tmp_path / "e.ckpt"
+    model = init_embedder(EmbedderConfig(n_classes=3), seed=5)
+    ckpt.save_checkpoint(p, "embedder", config, 5, 0,
+                         parameter_arrays(model))
+    with pytest.raises(CheckpointError, match="e.ckpt"):
+        ckpt.load_embedder(p)

@@ -304,6 +304,26 @@ def test_exit_code_checkpoint_error(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("config", [
+    {"bogus": 1, "n_filters": 8}, {"n_filters": "8"}, [1]],
+    ids=["unknown_key", "string", "list"])
+def test_bad_checkpoint_config_exits_4(tmp_path, capsys, config):
+    """A checkpoint whose header config cannot build a model fails as a
+    checkpoint error naming the file, not with a TypeError traceback."""
+    model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
+                                    kernel_len=4, chunk_len=6), seed=0)
+    bad = tmp_path / "cfg.ckpt"
+    ckpt.save_checkpoint(bad, "separator", config, 0, 0,
+                         {n: p.data for n, p in model.named_parameters()})
+    wav = tmp_path / "x.wav"
+    dataio.wav_write(wav, np.zeros(400))
+    code = main(["separate", "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(bad), "--in", str(wav)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("CheckpointError: ")
+    assert not (tmp_path / "o" / "channel0.wav").exists()
+
+
 def test_exit_code_non_finite_checkpoint(tmp_path):
     model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
                                     kernel_len=4, chunk_len=6), seed=0)
@@ -356,6 +376,24 @@ def test_select_non_finite_threshold_exits_2(tmp_path, trained, threshold):
     assert not list(out.glob("channel*.wav"))
     assert not (out / "selection.json").exists()
     assert not (out / "runconfig.json").exists()
+
+
+@pytest.mark.parametrize("threshold", [10 ** 400, -10 ** 400],
+                         ids=["huge", "minus_huge"])
+def test_select_threshold_beyond_float_range_exits_2(tmp_path, trained,
+                                                     threshold):
+    """A config-file integer too large for a float is refused as a usage
+    error before anything is written, not with an OverflowError."""
+    wav = tmp_path / "x.wav"
+    dataio.wav_write(wav, np.zeros(400))
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"threshold": threshold}))
+    out = tmp_path / "o"
+    code = main(["select", "--out", str(out), "--config", str(cfgfile),
+                 "--cascade", f"2={os.path.join(trained, 'best.ckpt')}",
+                 "--in", str(wav)])
+    assert code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", [{"lr": "0.001"}, {"epochs": True},
@@ -559,5 +597,24 @@ def test_eval_negative_tta_exits_2_before_writing(tmp_path, corpus, trained):
     code = main(["eval", "--out", str(out), "--checkpoint",
                  os.path.join(trained, "best.ckpt"), "--manifest",
                  os.path.join(corpus, "test.jsonl"), "--tta", "-1"])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["synth-data", "train", "separate", "eval",
+                                 "select", "tta"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_2_before_writing(tmp_path, runs, cmd, source):
+    """numpy's generators take no negative seed: refused as a usage error
+    before anything is written, not with a ValueError traceback."""
+    required, _ = runs[cmd]
+    if source == "flag":
+        seed = ["--seed", "-1"]
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"seed": -1}))
+        seed = ["--config", str(cfgfile)]
+    out = tmp_path / "o"
+    code = main([cmd, "--out", str(out), *required, *seed])
     assert code == 2
     assert not out.exists()

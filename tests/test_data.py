@@ -60,16 +60,17 @@ def test_make_mixture_exact_sum_and_gains():
 
 
 def test_make_mixture_forced_snr():
+    """Each further source sits at the SNR below the first that the seed
+    draws, in source order, from 0 to 5 dB."""
     rng = np.random.default_rng(0)
-    a = rng.standard_normal(4000)
-    b = rng.standard_normal(4000)
-    mix = dataio.make_mixture([a, b], ["x", "y"], seed=1, forced_snrs=[5.0])
+    a, b, c = (rng.standard_normal(4000) for _ in range(3))
+    mix = dataio.make_mixture([a, b, c], ["x", "y", "z"], seed=1)
+    snrs = np.random.default_rng(1).uniform(0.0, 5.0, size=2)
+    assert all(0.0 <= snr <= 5.0 for snr in snrs)
     pa = np.mean(a ** 2)
-    pb = np.mean((mix.gains[1] * b) ** 2)
-    assert pb / pa == pytest.approx(10 ** -0.5, rel=1e-9)
-    # 0 dB means equal power
-    mix0 = dataio.make_mixture([a, b], ["x", "y"], seed=1, forced_snrs=[0.0])
-    assert np.mean((mix0.gains[1] * b) ** 2) == pytest.approx(pa, rel=1e-9)
+    for g, s, snr in zip(mix.gains[1:], (b, c), snrs):
+        assert np.mean((g * s) ** 2) / pa == pytest.approx(
+            10 ** (-snr / 10), rel=1e-9)
 
 
 def test_make_mixture_validation():
@@ -225,13 +226,15 @@ def test_embedder_corpus_rejects_other_sample_rate(tmp_path):
     {"mixture_counts": {1: 2}}, {"mixture_counts": {True: 2}},
     {"mixture_counts": {"2": -1}}, {"mixture_counts": {2: 2.5}},
     {"mixture_counts": {2: True}}, {"mixture_counts": {2: {"train": 200}}},
-    {"mixture_counts": {2: {"train": 2, "valid": 1, "test": -1}}}],
+    {"mixture_counts": {2: {"train": 2, "valid": 1, "test": -1}}},
+    {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": None}],
     ids=repr)
 def test_build_corpus_refuses_bad_arguments_before_writing(tmp_path,
                                                            override):
     """Every count a C >= 2 maps to is an integer >= 0 (for each split
     when given per split), there is at least one utterance per speaker
-    of at least 0.5 s, or nothing is written."""
+    of at least 0.5 s, and the seed is an integer >= 0, or nothing is
+    written."""
     root = tmp_path / "corpus"
     kwargs = dict(n_speakers=8, utt_per_speaker=1, mixture_counts={"2": 1},
                   seed=0, duration_s=0.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voicesep import data as dataio
-from voicesep.embedder import (EmbedderConfig, init_embedder,
+from voicesep.embedder import (EMBED_DIM, EmbedderConfig, init_embedder,
                                train_embedder)
 from voicesep.errors import DataError, InputError
 
@@ -12,7 +12,7 @@ import voicesep.autodiff as ad
 
 
 def embed(model, clips):
-    """(B, embed_dim) embeddings of (B, clip_len) clips as a plain array,
+    """(B, EMBED_DIM) embeddings of (B, clip_len) clips as a plain array,
     with no tape."""
     return model.embed_tensor(
         ad.Tensor(np.asarray(clips, dtype=np.float32))).data
@@ -46,7 +46,7 @@ def test_embedding_shape_and_determinism():
     clips = np.random.default_rng(1).standard_normal(
         (3, cfg.clip_len)).astype(np.float32) * 0.3
     e1, e2 = embed(model, clips), embed(model, clips)
-    assert e1.shape == (3, cfg.embed_dim)
+    assert e1.shape == (3, EMBED_DIM)
     np.testing.assert_array_equal(e1, e2)
     for row, clip in zip(e1, clips):
         np.testing.assert_allclose(embed(model, clip[None])[0], row,

@@ -31,7 +31,8 @@ def test_si_snri_hand_case():
     n -= (n @ t) / (t @ t) * t  # zero-mean noise orthogonal to the target
     mixture = t + n
     est = t + 0.5 * n  # halves the interference: exactly +6.02 dB
-    gain = evalkit.si_snri([t], [est], mixture)
+    gain, perm = evalkit.aligned_si_snri([t], [est], mixture)
+    assert perm == (0,)
     direct = (losses.si_snr(t, est).item()
               - losses.si_snr(t, mixture).item())
     assert gain == pytest.approx(direct)
@@ -48,25 +49,29 @@ def test_aligned_si_snri_finds_permutation():
 
 
 def test_align_maps_targets_into_more_estimates():
+    """The extra estimate stays unassigned and leaves the score as it is
+    without it."""
     rng = np.random.default_rng(11)
     a, b, c = (rng.standard_normal(1000) for _ in range(3))
-    mat, perm = evalkit.align([a, b], [c, b, a])
+    value, perm = evalkit.aligned_si_snri([a, b], [c, b, a], a + b)
     assert perm == (2, 1)
-    assert mat.shape == (2, 3)
-    with pytest.raises(InputError):
-        evalkit.align([a, b, c], [a, b])
+    assert value == evalkit.aligned_si_snri([a, b], [a, b], a + b)[0]
 
 
 @pytest.mark.parametrize("c,e", [(1, 1), (2, 3), (3, 3)])
 def test_aligned_si_snri_reuses_the_alignment_matrix(monkeypatch, c, e):
-    """The same bits as scoring the aligned channels with si_snri, from
+    """The same bits as the mean over targets of the per-channel
+    difference of two losses.si_snr calls at the best assignment, from
     C fewer si_snr calls: each target's score is the matrix cell."""
     rng = np.random.default_rng(12 + c + e)
     targets = [rng.standard_normal(800) for _ in range(c)]
     ests = [rng.standard_normal(800).astype(np.float32) for _ in range(e)]
     mixture = np.sum(targets, axis=0)
-    _, perm = evalkit.align(targets, ests)
-    want = evalkit.si_snri(targets, [ests[j] for j in perm], mixture)
+    ests64 = [np.asarray(x, dtype=np.float64) for x in ests]
+    perm = losses.best_permutation(losses.pairwise_matrix(targets, ests64))
+    want = float(np.mean([losses.si_snr(t, ests64[j]).item()
+                          - losses.si_snr(t, mixture).item()
+                          for t, j in zip(targets, perm)]))
     calls = []
     si_snr = losses.si_snr
     monkeypatch.setattr(losses, "si_snr",
@@ -78,9 +83,11 @@ def test_aligned_si_snri_reuses_the_alignment_matrix(monkeypatch, c, e):
 
 
 def test_si_snri_length_mismatch():
-    with pytest.raises(InputError):
-        evalkit.si_snri([np.ones(10)], [np.ones(10), np.ones(10)],
-                        np.ones(10))
+    """Fewer estimates than targets leave a target unassigned."""
+    rng = np.random.default_rng(14)
+    a, b, c = (rng.standard_normal(100) for _ in range(3))
+    with pytest.raises(InputError, match="2 channels for 3 sources"):
+        evalkit.aligned_si_snri([a, b, c], [a, b], a + b + c)
 
 
 # --- activity levels ---
@@ -117,7 +124,8 @@ def test_select_count_descends_and_reports():
     assert len(chans2) == 2
 
 
-@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int_beyond_float"])
 def test_select_count_refuses_non_finite_threshold_before_separating(
         monkeypatch, threshold):
     calls = []
@@ -135,9 +143,8 @@ def test_calibrate_threshold_prefers_lowest_tie():
     x = np.random.default_rng(1).standard_normal(400).astype(np.float32)
     # with true C = the largest model, every threshold that accepts all
     # channels is a hit; ties resolve to the lowest grid value
-    thr = evalkit.calibrate_threshold([(x, 3)], models,
-                                      grid=[-70.0, -60.0, -50.0])
-    assert thr == -70.0
+    thr = evalkit.calibrate_threshold([(x, 3)], models)
+    assert thr == evalkit.THRESHOLD_GRID_DB[0] == -70.0
     with pytest.raises(DataError):
         evalkit.calibrate_threshold([], models)
 
@@ -208,7 +215,9 @@ def test_flag_switch_gates_silent_targets():
     assert not evalkit.flag_switch([a, b], ests, 2000)
 
 
-def test_switch_rate_counts_fraction():
+def test_evaluate_switch_fraction_counts_switching_samples(monkeypatch):
+    """One of four samples swaps its channels midway: a switch fraction
+    of a quarter."""
     rng = np.random.default_rng(6)
     n = 8000
     entries = []
@@ -223,10 +232,17 @@ def test_switch_rate_counts_fraction():
                             np.concatenate([b[:n // 2], a[n // 2:]])])
         else:
             outputs.append([a.copy(), b.copy()])
-    rate = evalkit.switch_rate(entries, None, outputs=outputs)
-    assert rate == pytest.approx(0.25)
-    with pytest.raises(DataError):
-        evalkit.switch_rate([], None)
+    by_mixture = {id(e.mixture): out for e, out in zip(entries, outputs)}
+    monkeypatch.setattr(evalkit.separator, "separate",
+                        lambda m, x: by_mixture[id(x)])
+    report = evalkit.evaluate(entries, small_model())
+    assert [s.switched for s in report.samples] == [True] + [False] * 3
+    assert report.switch_fraction == 0.25
+
+
+def test_evaluate_refuses_no_entries():
+    with pytest.raises(DataError, match="no samples"):
+        evalkit.evaluate([], small_model())
 
 
 # --- oracles ---

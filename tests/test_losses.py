@@ -7,6 +7,7 @@ from itertools import permutations
 from scipy.optimize import linear_sum_assignment
 
 import voicesep.autodiff as ad
+from voicesep import embedder as embedder_module
 from voicesep import losses
 from voicesep.embedder import EmbedderConfig, init_embedder
 from voicesep.errors import (DegenerateTargetError, DimensionError, InputError,
@@ -270,10 +271,12 @@ def test_id_loss_respects_permutation(embedder):
     assert val.item() == pytest.approx(0.0, abs=1e-10)
 
 
-def test_id_loss_segments_follow_the_embedder_clip():
+def test_id_loss_segments_follow_the_embedder_clip(monkeypatch):
     """An embedder of 0.25 s clips scores two 1 s targets in four
-    segments each, not in the 0.5 s segments of the default clip."""
-    short = init_embedder(EmbedderConfig(clip_s=0.25, n_classes=2), 0)
+    segments each, not in the 0.5 s segments of the usual clip."""
+    monkeypatch.setattr(embedder_module, "CLIP_S", 0.25)
+    short = init_embedder(EmbedderConfig(n_classes=2), 0)
+    assert short.config.clip_len == 2000
     rng = np.random.default_rng(13)
     s = [rng.standard_normal(8000).astype(np.float32) for _ in range(2)]
     ests = [ad.Tensor(si + 0.2 * rng.standard_normal(8000).astype(

@@ -7,6 +7,8 @@ the stride-L/2 convolution and the wave decoder its transpose, computed
 by framing and overlap-add (`chunk_rows`, `ola_rows`) around `linear`.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ import voicesep.autodiff as ad
 from voicesep import dsp
 from voicesep.errors import ConfigurationError, InputError, NumericError
 from voicesep.model import (ModelConfig, decode_head, encode, forward,
-                            init_params, separate)
+                            init_params, mulcat_block, separate)
 
 SMALL = dict(n_filters=12, kernel_len=8, num_blocks=4, hidden=10,
              num_speakers=2)
@@ -130,6 +132,37 @@ def test_each_block_records_one_bilstm_bank_node(gating):
     owners = [node.backward.__qualname__.split(".")[0]
               for node in tape._nodes]
     assert owners.count("bilstm_bank") == SMALL["num_blocks"]
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["along_r", "along_k"])
+def test_mulcat_block_frees_gate_and_concat_without_a_tape(monkeypatch,
+                                                           index):
+    """With no tape, the gated product is freed once the concatenation
+    has read it, and the concatenation once the projection has: neither
+    is alive when a later op of the block starts."""
+    m = small_model()
+    v = ad.Tensor(np.random.default_rng(4).standard_normal(
+        (5, 6, SMALL["n_filters"])).astype(np.float32))
+    outputs = {}   # op -> weak reference to the array of its last output
+    starts = []    # (op, the ops whose last output is alive as it starts)
+
+    def spy(name, op):
+        def call(*args, **kwargs):
+            starts.append((name, {k for k, ref in outputs.items()
+                                  if ref() is not None}))
+            out = op(*args, **kwargs)
+            outputs[name] = weakref.ref(out.data)
+            return out
+        return call
+    for name in ("bilstm_bank", "concat", "linear", "transpose"):
+        monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
+    mulcat_block(m, v, index)
+    ops = [name for name, _ in starts]
+    at_linear = ops.index("linear")
+    assert "bilstm_bank" not in starts[at_linear][1]
+    assert ops[at_linear + 1:] == (["transpose"] if index == 1 else [])
+    for _, alive in starts[at_linear + 1:]:
+        assert not alive & {"bilstm_bank", "concat"}
 
 
 def test_gating_false_still_forward():

@@ -19,8 +19,8 @@ def test_version_matches_pyproject():
 
 
 def test_all_is_sorted_unique_and_what_init_imports():
-    """`__all__` counts as reached in the scan below, so it must export
-    exactly what `__init__` imports, and nothing twice."""
+    """`__all__` exports exactly what `__init__` imports, and nothing
+    twice."""
     names = voicesep.__all__
     assert names == sorted(set(names))
     tree = ast.parse((PKG / "__init__.py").read_text())
@@ -66,17 +66,30 @@ def definitions(tree, module):
                     yield f"{module}.{stmt.name}.{item.name}", item.name
 
 
+# Public entry points that nothing in the package or the benchmark
+# harness reaches, each with the reason it stays.
+UNREACHED_ENTRY_POINTS = {
+    "autodiff.grad_check": "the float64 gradient check that verifies "
+                           "every op's backward",
+    "evalkit.ibm_oracle": "the paper's ideal binary mask baseline",
+    "evalkit.irm_oracle": "the paper's ideal ratio mask baseline",
+}
+
+
 def test_every_definition_has_a_caller():
     """A function, class, method or property of the package that nothing
-    in the package or the benchmark harness refers to, and that is not
-    exported, is dead code. The scan matches names only, so it misses
-    dead code that shares its name with a live reference (a method
-    `validate` beside a called `validate`)."""
-    used = set(voicesep.__all__)
+    in the package's modules or the benchmark harness refers to is dead
+    code, unless it is one of UNREACHED_ENTRY_POINTS. Exporting a name
+    (`__init__`'s imports and `__all__`) does not count as a call. The
+    scan matches names only, so it misses dead code that shares its name
+    with a live reference (a method `validate` beside a called
+    `validate`)."""
+    used = set()
     for path in [*PKG.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
-        used.update(referenced_names(ast.parse(path.read_text())))
+        if path != PKG / "__init__.py":
+            used.update(referenced_names(ast.parse(path.read_text())))
     dead = [qual for path in sorted(PKG.glob("*.py"))
             for qual, name in definitions(ast.parse(path.read_text()),
                                           path.stem)
             if name not in used]
-    assert dead == []
+    assert sorted(dead) == sorted(UNREACHED_ENTRY_POINTS)

@@ -7,7 +7,7 @@ import pytest
 
 from voicesep import checkpoint as ckpt
 from voicesep import data as dataio
-from voicesep import trainer
+from voicesep import evalkit, trainer
 from voicesep.embedder import EmbedderConfig, init_embedder
 from voicesep.errors import ConfigurationError, InputError, NumericError
 from voicesep.model import ModelConfig, init_params
@@ -55,12 +55,21 @@ def test_config_validation():
     ("epochs", -1), ("batch_size", 0), ("lr", float("nan")),
     ("lr", float("inf")), ("segment_s", float("nan")),
     ("segment_s", float("inf")), ("segment_s", -0.5), ("lr", "0.001"),
-    ("epochs", True), ("batch_size", 1.5), ("segment_s", None)])
+    ("epochs", True), ("batch_size", 1.5), ("segment_s", None),
+    # beyond float range: refused, not an OverflowError
+    *(pytest.param(field, 10 ** 400, id=f"{field}-10**400")
+      for field in ("epochs", "lr", "batch_size", "segment_s"))])
 def test_config_requires_finite_positive_values(field, value):
     cfg = trainer.TrainConfig(epochs=1)
     setattr(cfg, field, value)
     with pytest.raises(ConfigurationError, match=field):
         cfg.validate()
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, True, None, "0"])
+def test_config_requires_a_seed_numpy_takes(value):
+    with pytest.raises(ConfigurationError, match="seed"):
+        trainer.TrainConfig(epochs=1, seed=value).validate()
 
 
 def test_non_finite_model_outputs_raise_numeric_error():
@@ -164,12 +173,16 @@ def test_log_file_and_checkpoints(tmp_path):
 
 
 def test_validate_is_pure():
+    """An epoch logs evalkit.evaluate's mean SI-SNRi over the validation
+    entries, a pure read: no parameter mutation."""
     entries = tiny_entries()
     model = init_params(SMALL, seed=0)
+    _, logs = trainer.train(model, None, entries, small_cfg(epochs=1),
+                            valid_entries=entries[:2])
     before = [t.data.copy() for _, t in model.named_parameters()]
-    v1 = trainer.validate(model, entries)
-    v2 = trainer.validate(model, entries)
-    assert v1 == v2
+    v1 = evalkit.evaluate(entries[:2], model).mean_si_snri
+    v2 = evalkit.evaluate(entries[:2], model).mean_si_snri
+    assert v1 == v2 == logs[-1].val_si_snri
     for (_, t), b in zip(model.named_parameters(), before):
         np.testing.assert_array_equal(t.data, b)
 
@@ -206,7 +219,8 @@ def test_validate_accepts_length_off_the_stride():
         mixture=entry.mixture[:3999],
         sources=[s[:3999] for s in entry.sources],
         speaker_ids=entry.speaker_ids, gains=entry.gains)
-    assert np.isfinite(trainer.validate(init_params(SMALL, seed=0), [odd]))
+    assert np.isfinite(evalkit.evaluate([odd], init_params(SMALL, seed=0))
+                       .mean_si_snri)
 
 
 def test_crop_starts_on_encoder_stride():
