@@ -22,6 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .data import SAMPLE_RATE
 from .errors import CheckpointError, VoicesepError
 from .model import ModelConfig, SeparatorModel, init_params
 from .embedder import EmbedderConfig, EmbedderModel, init_embedder
@@ -117,9 +118,15 @@ def load_checkpoint(path):
 def _build(path, config_cls, config, init):
     """A fresh model from a header's config. CheckpointError, naming the
     file, unless the config is a JSON object whose keys config_cls has
-    and whose values both the config and the model accept."""
+    and whose values both the config and the model accept. Files written
+    while the sample rate was a config key carry it; they load when it
+    names SAMPLE_RATE."""
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: config is not a JSON object")
+    rate = config.pop("sample_rate", SAMPLE_RATE)
+    if rate != SAMPLE_RATE:
+        raise CheckpointError(f"{path}: config is for {rate!r} Hz audio, "
+                              f"voicesep works at {SAMPLE_RATE} Hz only")
     unknown = sorted(set(config) - {f.name for f in fields(config_cls)})
     if unknown:
         raise CheckpointError(f"{path}: config has unknown keys {unknown}")

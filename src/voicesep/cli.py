@@ -27,8 +27,8 @@ from . import checkpoint as ckpt
 from . import data as dataio
 from . import evalkit
 from . import trainer
-from .embedder import train_embedder
-from .errors import CheckpointError, InputError, UsageError, VoicesepError
+from .embedder import embedder_corpus, train_embedder
+from .errors import CheckpointError, UsageError, VoicesepError
 from .model import ModelConfig, init_params
 from .trainer import TrainConfig
 
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
         if args.embedder:
             embedder, _, _ = ckpt.load_embedder(args.embedder)
         else:
-            corpus = dataio.embedder_corpus(args.data, "train")
+            corpus = embedder_corpus(args.data, "train")
             embedder, acc = train_embedder(corpus, seed=args.seed)
             ckpt.save_embedder(os.path.join(args.out, "embedder.ckpt"),
                                embedder, seed=args.seed)
@@ -171,40 +171,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_wav_for(path, models):
-    """The WAV's samples and rate; InputError unless every model runs at
-    that rate."""
-    x, rate = dataio.wav_read(path)
-    for model in models:
-        if model.config.sample_rate != rate:
-            raise InputError(
-                f"{path}: sampled at {rate} Hz, model expects "
-                f"{model.config.sample_rate} Hz")
-    return x, rate
-
-
-def _check_manifest_rate(path, models):
-    """InputError unless every model runs at SAMPLE_RATE, the only rate
-    a manifest holds."""
-    for model in models:
-        if model.config.sample_rate != dataio.SAMPLE_RATE:
-            raise InputError(
-                f"{path}: manifests hold {dataio.SAMPLE_RATE} Hz audio, "
-                f"model expects {model.config.sample_rate} Hz")
-
-
 def _load_separator_and_wav(args):
     model, _, _, _ = ckpt.load_separator(args.checkpoint)
-    x, rate = _read_wav_for(args.wav_in, [model])
-    return model, x, rate
+    return model, dataio.load_wav(args.wav_in)
 
 
-def _write_channels(out_dir, channels, rate):
+def _write_channels(out_dir, channels):
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, ch in enumerate(channels):
         p = os.path.join(out_dir, f"channel{i}.wav")
-        dataio.wav_write(p, np.asarray(ch, dtype=np.float64), rate)
+        dataio.wav_write(p, np.asarray(ch, dtype=np.float64))
         paths.append(p)
     return paths
 
@@ -212,8 +189,8 @@ def _write_channels(out_dir, channels, rate):
 def cmd_separate(args) -> int:
     _dump_runconfig(args)
     from .model import separate
-    model, x, rate = _load_separator_and_wav(args)
-    paths = _write_channels(args.out, separate(model, x), rate)
+    model, x = _load_separator_and_wav(args)
+    paths = _write_channels(args.out, separate(model, x))
     print("\n".join(paths))
     return 0
 
@@ -222,7 +199,6 @@ def cmd_eval(args) -> int:
     if args.tta < 0:
         raise UsageError(f"eval: --tta must be >= 0, got {args.tta}")
     model, _, _, _ = ckpt.load_separator(args.checkpoint)
-    _check_manifest_rate(args.manifest, [model])
     _dump_runconfig(args)
     entries = dataio.load_manifest(args.manifest)
     report = evalkit.evaluate(entries, model, tta_k=args.tta,
@@ -263,16 +239,15 @@ def cmd_select(args) -> int:
                          "number")
     models = _parse_cascade(args.cascade)
     _dump_runconfig(args)
-    x, rate = _read_wav_for(args.wav_in, models.values())
+    x = dataio.load_wav(args.wav_in)
     if threshold is None:
         if not args.calibrate:
             raise UsageError("select needs --threshold or --calibrate")
-        _check_manifest_rate(args.calibrate, models.values())
         entries = dataio.load_manifest(args.calibrate)
         samples = [(e.mixture, len(e.sources)) for e in entries]
         threshold = evalkit.calibrate_threshold(samples, models)
     report, channels = evalkit.select_count(x, models, threshold)
-    _write_channels(args.out, channels, rate)
+    _write_channels(args.out, channels)
     with open(os.path.join(args.out, "selection.json"), "w") as f:
         json.dump({"chosen_c": report.chosen_c,
                    "threshold": report.threshold, "path": report.path,
@@ -287,9 +262,9 @@ def cmd_tta(args) -> int:
     if args.tta < 0:
         raise UsageError(f"tta: --tta must be >= 0, got {args.tta}")
     _dump_runconfig(args)
-    model, x, rate = _load_separator_and_wav(args)
+    model, x = _load_separator_and_wav(args)
     channels = evalkit.tta_separate(x, model, k=args.tta, seed=args.seed)
-    paths = _write_channels(args.out, channels, rate)
+    paths = _write_channels(args.out, channels)
     print("\n".join(paths))
     return 0
 

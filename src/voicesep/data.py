@@ -7,10 +7,10 @@ ideal-mask oracles don't trivialize the task.
 """
 
 import json
-import math
 import numbers
 import os
 import struct
+import sys
 import numpy as np
 from dataclasses import dataclass
 
@@ -188,6 +188,16 @@ def wav_read(path):
     return pcm.astype(np.float64) / 32768.0, rate
 
 
+def load_wav(path) -> np.ndarray:
+    """The samples of a PCM16 mono WAV at SAMPLE_RATE, the only rate
+    voicesep works at; DataError for any other rate."""
+    x, rate = wav_read(path)
+    if rate != SAMPLE_RATE:
+        raise DataError(f"{path}: sampled at {rate} Hz, voicesep works at "
+                        f"{SAMPLE_RATE} Hz only")
+    return x
+
+
 # --- Corpus build: speaker-disjoint splits + JSONL manifests ---
 
 SPLITS = ("train", "valid", "test")
@@ -228,7 +238,8 @@ def _check_corpus_args(utt_per_speaker, duration_s, mixture_counts, seed):
     if not _is_count(utt_per_speaker, 1):
         raise DataError("build_corpus: utt_per_speaker must be an integer "
                         f">= 1, got {utt_per_speaker!r}")
-    if not 0.5 <= duration_s < math.inf:
+    # False for NaN, an infinity and an int too large for a float alike
+    if not 0.5 <= duration_s <= sys.float_info.max:
         raise DataError("build_corpus: duration_s must be finite and "
                         f">= 0.5, got {duration_s!r}")
     if not isinstance(mixture_counts, dict) or not mixture_counts:
@@ -329,19 +340,10 @@ class ManifestEntry:
     gains: list
 
 
-def _read_at_sample_rate(path) -> np.ndarray:
-    x, rate = wav_read(path)
-    if rate != SAMPLE_RATE:
-        raise DataError(f"{path}: sample rate {rate} Hz, the corpus holds "
-                        f"{SAMPLE_RATE} Hz audio")
-    return x
-
-
 def load_manifest(path) -> list[ManifestEntry]:
     """Load every entry of a JSONL manifest into memory; WAV paths are
-    relative to the manifest's directory. Raises DataError when a mixture
-    or source WAV is not at SAMPLE_RATE, the only rate build_corpus
-    writes."""
+    relative to the manifest's directory, and each is read by load_wav,
+    so one at a rate other than SAMPLE_RATE raises DataError."""
     root = os.path.dirname(os.path.abspath(path))
     entries = []
     try:
@@ -356,8 +358,8 @@ def load_manifest(path) -> list[ManifestEntry]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}:{ln}: bad manifest record: {e}") from e
-        x = _read_at_sample_rate(os.path.join(root, rec["mixture"]))
-        raws = [_read_at_sample_rate(os.path.join(root, p))
+        x = load_wav(os.path.join(root, rec["mixture"]))
+        raws = [load_wav(os.path.join(root, p))
                 for p in rec["sources"]]
         scaled = [g * s for g, s in zip(rec["gains"], raws)]
         entries.append(ManifestEntry(mixture=x, sources=scaled,
@@ -367,21 +369,3 @@ def load_manifest(path) -> list[ManifestEntry]:
         raise DataError(f"{path}: empty manifest")
     return entries
 
-
-def embedder_corpus(root, split: str) -> list:
-    """(clip, speaker id) pairs from a split's utterance pool, for the
-    speaker classifier. Clips are cut to exact 500 ms windows. Raises
-    DataError when an utterance WAV is not at SAMPLE_RATE."""
-    sdir = os.path.join(root, split)
-    clip_len = SAMPLE_RATE // 2
-    pairs = []
-    for name in sorted(os.listdir(sdir)):
-        if not name.endswith(".wav") or name.startswith("mix"):
-            continue
-        spk = name.split("_")[0]
-        w = _read_at_sample_rate(os.path.join(sdir, name))
-        for start in range(0, len(w) - clip_len + 1, clip_len):
-            pairs.append((w[start:start + clip_len], spk))
-    if not pairs:
-        raise DataError(f"embedder_corpus: no utterances under {sdir}")
-    return pairs

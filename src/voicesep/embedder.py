@@ -1,15 +1,16 @@
 """Speaker embedding network for the identity loss.
 
 A small 3-stage convolutional classifier over log-compressed power
-spectrograms (20 ms Hamming window, 10 ms hop) of 500 ms clips, trained as
-a closed-set classifier on the training speakers. The penultimate layer
-(width 64) is the embedding used by the identity loss. Every
-forward method takes a (B, clip_len) batch of clips and runs it through
-the network in one pass.
+spectrograms (20 ms Hamming window, 10 ms hop) of 500 ms clips at
+SAMPLE_RATE, trained as a closed-set classifier on the training speakers.
+The penultimate layer (width 64) is the embedding used by the identity
+loss. Every forward method takes a (B, CLIP_LEN) batch of clips and runs
+it through the network in one pass.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dsp
 from .autodiff import Tensor
+from .data import SAMPLE_RATE, load_wav
 from .errors import DataError, InputError
 from .optim import Adam
 
@@ -33,24 +35,17 @@ HOP_MS = 10.0
 CLIP_S = 0.5
 EMBED_DIM = 64
 CONV_CHANNELS = (8, 16, 32)
+# ... and the window, hop and clip in samples at SAMPLE_RATE
+WIN_LEN = int(round(WIN_MS * SAMPLE_RATE / 1000.0))
+HOP = int(round(HOP_MS * SAMPLE_RATE / 1000.0))
+CLIP_LEN = int(round(CLIP_S * SAMPLE_RATE))
 
 
 @dataclass
 class EmbedderConfig:
-    sample_rate: int = 8000
+    """The one setting a trained embedder carries: its speaker count.
+    Everything else about the network is a module constant."""
     n_classes: int = 0  # set when trained
-
-    @property
-    def win_len(self) -> int:
-        return int(round(WIN_MS * self.sample_rate / 1000.0))
-
-    @property
-    def hop(self) -> int:
-        return int(round(HOP_MS * self.sample_rate / 1000.0))
-
-    @property
-    def clip_len(self) -> int:
-        return int(round(CLIP_S * self.sample_rate))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -75,21 +70,19 @@ class EmbedderModel:
     # -- forward ----------------------------------------------------------
 
     def features(self, clips: Tensor) -> Tensor:
-        """Log-compressed power spectrograms of (B, clip_len) clips as a
+        """Log-compressed power spectrograms of (B, CLIP_LEN) clips as a
         (B, 1, frames, bins) batch of images."""
-        cfg = self.config
-        p = dsp.power_spectrogram(clips, cfg.win_len, cfg.hop, cfg.win_len)
+        p = dsp.power_spectrogram(clips, WIN_LEN, HOP, WIN_LEN)
         feat = ad.log1p(p)
         return ad.reshape(feat, (feat.shape[0], 1) + tuple(feat.shape[1:]))
 
     def embed_tensor(self, clips: Tensor) -> Tensor:
-        """Differentiable (B, EMBED_DIM) embeddings of (B, clip_len)
+        """Differentiable (B, EMBED_DIM) embeddings of (B, CLIP_LEN)
         clips."""
-        cfg = self.config
-        if clips.data.ndim != 2 or clips.shape[1] != cfg.clip_len:
+        if clips.data.ndim != 2 or clips.shape[1] != CLIP_LEN:
             raise InputError(
-                f"embed: clips must be (B, {cfg.clip_len}) samples "
-                f"({CLIP_S:g} s at {cfg.sample_rate} Hz), got shape "
+                f"embed: clips must be (B, {CLIP_LEN}) samples "
+                f"({CLIP_S:g} s at {SAMPLE_RATE} Hz), got shape "
                 f"{tuple(clips.shape)}")
         h = self.features(clips)
         for stage in range(len(CONV_CHANNELS)):
@@ -102,15 +95,9 @@ class EmbedderModel:
         return ad.clamp_min(emb, 0.0)
 
     def logits_tensor(self, clips: Tensor) -> Tensor:
-        """(B, n_classes) class scores of (B, clip_len) clips."""
+        """(B, n_classes) class scores of (B, CLIP_LEN) clips."""
         return ad.linear(self.embed_tensor(clips), self.params["cls.w"],
                          self.params["cls.b"])
-
-
-def _conv_out_hw(h: int, w: int) -> tuple:
-    for _ in CONV_CHANNELS:
-        h, w = (h - 2) // 2, (w - 2) // 2
-    return h, w
 
 
 def init_embedder(config: EmbedderConfig, seed: int) -> EmbedderModel:
@@ -118,11 +105,6 @@ def init_embedder(config: EmbedderConfig, seed: int) -> EmbedderModel:
     cfg = config
     if cfg.n_classes < 2:
         raise DataError("embedder needs at least 2 speaker classes")
-    n_frames = 1 + int(np.ceil(cfg.clip_len / cfg.hop))
-    n_bins = cfg.win_len // 2 + 1
-    hw = _conv_out_hw(n_frames, n_bins)
-    if min(hw) < 1:
-        raise DataError("embedder: clip too short for the conv stack")
     p: dict[str, np.ndarray] = {}
     cin = 1
     for stage, cout in enumerate(CONV_CHANNELS):
@@ -146,13 +128,32 @@ def init_embedder(config: EmbedderConfig, seed: int) -> EmbedderModel:
 
 
 def _accuracy(model: EmbedderModel, clips: np.ndarray, labels) -> float:
-    """Share of the (n, clip_len) clips classified as their labels, in
+    """Share of the (n, CLIP_LEN) clips classified as their labels, in
     batches of TRAIN_BATCH."""
     predicted = np.concatenate([
         np.argmax(model.logits_tensor(
             Tensor(clips[lo:lo + TRAIN_BATCH])).data, axis=1)
         for lo in range(0, len(clips), TRAIN_BATCH)])
     return float(np.mean(predicted == labels))
+
+
+def embedder_corpus(root, split: str) -> list:
+    """(clip, speaker id) pairs from a split's utterance pool, for the
+    speaker classifier: each utterance cut into CLIP_LEN windows from its
+    start, the remainder dropped. Each WAV is read by data.load_wav, so
+    one at a rate other than SAMPLE_RATE raises DataError."""
+    sdir = os.path.join(root, split)
+    pairs = []
+    for name in sorted(os.listdir(sdir)):
+        if not name.endswith(".wav") or name.startswith("mix"):
+            continue
+        spk = name.split("_")[0]
+        w = load_wav(os.path.join(sdir, name))
+        for start in range(0, len(w) - CLIP_LEN + 1, CLIP_LEN):
+            pairs.append((w[start:start + CLIP_LEN], spk))
+    if not pairs:
+        raise DataError(f"embedder_corpus: no utterances under {sdir}")
+    return pairs
 
 
 def train_embedder(corpus, epochs: int = 20, seed: int = 0):
@@ -174,17 +175,16 @@ def train_embedder(corpus, epochs: int = 20, seed: int = 0):
                 "need at least 20")
     classes = sorted(by_speaker)
     cfg = EmbedderConfig(n_classes=len(classes))
-    sr_len = cfg.clip_len
     rng = np.random.default_rng(seed)
 
     train_clips, train_labels, hold_clips, hold_labels = [], [], [], []
     for label, spk in enumerate(classes):
         clips = by_speaker[spk]
         for clip in clips:
-            if len(clip) != sr_len:
+            if len(clip) != CLIP_LEN:
                 raise DataError(
                     f"train_embedder: clip of {len(clip)} samples for "
-                    f"speaker {spk}, expected {sr_len}")
+                    f"speaker {spk}, expected {CLIP_LEN}")
         order = rng.permutation(len(clips))
         n_hold = max(1, int(round(HOLDOUT_FRAC * len(clips))))
         for pos, ci in enumerate(order):

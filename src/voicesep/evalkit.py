@@ -291,12 +291,14 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
     """Score a manifest's entries with one model or a selection cascade.
 
     When `models` (a C->model cascade) and `threshold` are given, the
-    speaker count is auto-selected per sample; otherwise `model` runs
-    as-is. Each sample is scored by aligned_si_snri: the references map to
-    distinct channels, and superfluous channels are left out. Fewer
-    channels than references raise InputError. A cascade without a
-    threshold, or neither a model nor a cascade, raises UsageError before
-    anything is separated; an empty entry list raises DataError.
+    speaker count is auto-selected per sample; otherwise `model`
+    separates each sample by tta_separate with k=tta_k (k=0 is its plain
+    separation; a negative k raises InputError). Each sample is scored
+    by aligned_si_snri: the references map to distinct channels, and
+    superfluous channels are left out. Fewer channels than references
+    raise InputError. A cascade without a threshold, or neither a model
+    nor a cascade, raises UsageError before anything is separated; an
+    empty entry list raises DataError.
     """
     if models is not None and threshold is None:
         raise UsageError("evaluate: a cascade (models) needs a threshold")
@@ -313,9 +315,7 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
             sel, ests = select_count(entry.mixture, models, threshold)
             selected_c = sel.chosen_c
         else:
-            ests = (tta_separate(entry.mixture, model, tta_k, seed + idx)
-                    if tta_k > 0 else separator.separate(model,
-                                                         entry.mixture))
+            ests = tta_separate(entry.mixture, model, tta_k, seed + idx)
             selected_c = len(ests)
         refs = entry.sources
         value, perm = aligned_si_snri(refs, ests, entry.mixture)

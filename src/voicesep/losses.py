@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .embedder import CLIP_LEN
 from .errors import InputError, NumericError, UsageError
 
 
@@ -120,7 +121,7 @@ def id_loss(targets, estimates, perm: tuple, embedder):
     """Speaker-identity loss: MSE between embeddings of matched segments.
 
     Both signals are cut into non-overlapping windows of the embedder's
-    clip length from the start (remainder dropped); channel i of the
+    CLIP_LEN samples from the start (remainder dropped); channel i of the
     targets is compared against estimate perm[i]. All C * n_seg estimate
     windows are embedded as one batch, and so are the target windows,
     whose embeddings are constants. The embedder stays frozen; gradients
@@ -133,7 +134,7 @@ def id_loss(targets, estimates, perm: tuple, embedder):
     if sorted(perm) != list(range(c)):
         raise InputError(f"id_loss: perm {perm} is not a bijection")
     n = ad.as_tensor(targets[0]).shape[0]
-    seg = embedder.config.clip_len
+    seg = CLIP_LEN
     n_seg = n // seg
     if n_seg == 0:
         warnings.warn("id_loss: utterance shorter than one segment; loss 0")

@@ -25,13 +25,14 @@ from .errors import ConfigurationError, InputError, NumericError
 
 @dataclass
 class ModelConfig:
+    """The separator's shape. Every model runs at data.SAMPLE_RATE, so
+    the rate is no setting of its own."""
     n_filters: int = 128       # N: encoder output width
     kernel_len: int = 8        # L: encoder kernel, stride L/2
     num_blocks: int = 6        # b: MulCat blocks, must be even
     hidden: int = 128          # H: LSTM hidden width per direction
     num_speakers: int = 2      # C: output channels
     chunk_len: Optional[int] = None  # K: None = per-input default
-    sample_rate: int = 8000
     gating: bool = True        # False = single-LSTM ablation ("-gating")
 
     def validate(self) -> None:

@@ -14,7 +14,8 @@ from . import checkpoint as ckpt
 from . import evalkit
 from . import losses
 from . import model as separator
-from .errors import ConfigurationError, InputError, NumericError
+from .data import SAMPLE_RATE
+from .errors import ConfigurationError, DataError, InputError, NumericError
 from .optim import Adam, clip_global_norm
 
 # The paper's training schedule: the learning rate decays by a factor of
@@ -96,15 +97,14 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
 
     Deterministic given cfg.seed: the shuffle and crop stream for epoch e
     derives from (seed, e), so resuming from an epoch-boundary checkpoint
-    continues bit-identically.
+    continues bit-identically. Every entry is SAMPLE_RATE audio; an empty
+    entry list raises DataError before anything is written.
     """
     cfg.validate()
     if cfg.idloss and embedder is None:
         raise ConfigurationError("idloss flag set but no embedder given")
-    if cfg.idloss and embedder.config.sample_rate != model.config.sample_rate:
-        raise InputError(
-            f"train: embedder runs at {embedder.config.sample_rate} Hz, "
-            f"model at {model.config.sample_rate} Hz")
+    if not train_entries:
+        raise DataError("train: no training entries")
     c = model.config.num_speakers
     for entry in train_entries:
         if len(entry.sources) != c:
@@ -131,7 +131,7 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
         start_epoch = step // steps_per_epoch + 1
 
     stride = model.config.kernel_len // 2
-    seg_len = int(round(cfg.segment_s * model.config.sample_rate))
+    seg_len = int(round(cfg.segment_s * SAMPLE_RATE))
     seg_len -= seg_len % stride   # encode needs a multiple of the stride
     logs = []
     best_val = -np.inf

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from voicesep import checkpoint as ckpt
+from voicesep.data import SAMPLE_RATE
 from voicesep.errors import CheckpointError
 from voicesep.model import ModelConfig, init_params
 from voicesep.embedder import EmbedderConfig, init_embedder
@@ -181,3 +182,39 @@ def test_bad_embedder_config_raises_checkpoint_error(tmp_path, config):
                          parameter_arrays(model))
     with pytest.raises(CheckpointError, match="e.ckpt"):
         ckpt.load_embedder(p)
+
+
+def save_with_rate(path, kind, model, rate):
+    """`model` saved with a header config that names `rate`, as files
+    written while the sample rate was a config key do."""
+    ckpt.save_checkpoint(path, kind,
+                         {**model.config.to_dict(), "sample_rate": rate},
+                         5, 0, parameter_arrays(model))
+
+
+LOADERS = {"separator": (ckpt.load_separator, init_params, SMALL),
+           "embedder": (ckpt.load_embedder, init_embedder,
+                        EmbedderConfig(n_classes=3))}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_header_at_the_sample_rate_loads(tmp_path, kind):
+    load, init, config = LOADERS[kind]
+    model = init(config, seed=5)
+    p = tmp_path / "old.ckpt"
+    save_with_rate(p, kind, model, SAMPLE_RATE)
+    back = load(p)[0]
+    assert back.config == model.config
+    for (n1, p1), (n2, p2) in zip(model.named_parameters(),
+                                  back.named_parameters()):
+        assert n1 == n2
+        np.testing.assert_array_equal(p1.data, p2.data)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_header_at_another_rate_raises_checkpoint_error(tmp_path, kind):
+    load, init, config = LOADERS[kind]
+    p = tmp_path / "wide.ckpt"
+    save_with_rate(p, kind, init(config, seed=5), 16000)
+    with pytest.raises(CheckpointError, match="wide.ckpt.*16000 Hz"):
+        load(p)

@@ -135,9 +135,9 @@ def test_eval_non_finite_outputs_exit_5(tmp_path, corpus, trained,
     assert not (out / "report.txt").exists()
 
 
-def test_eval_other_sample_rate_exits_3(tmp_path, corpus, trained):
-    """A manifest of 16 kHz WAVs given to an 8 kHz checkpoint is refused
-    before scoring, and no report is written."""
+def write_wide_manifest(tmp_path, corpus):
+    """A one-entry manifest of 16 kHz WAVs, from a test entry of
+    `corpus`."""
     entry = dataio.load_manifest(os.path.join(corpus, "test.jsonl"))[0]
     names = [f"s{i}.wav" for i in range(len(entry.sources))]
     dataio.wav_write(tmp_path / "mix.wav", entry.mixture, 16000)
@@ -147,46 +147,79 @@ def test_eval_other_sample_rate_exits_3(tmp_path, corpus, trained):
     manifest.write_text(json.dumps(
         {"mixture": "mix.wav", "sources": names, "gains": entry.gains,
          "speakers": entry.speaker_ids}) + "\n")
+    return str(manifest)
+
+
+def test_eval_other_sample_rate_exits_3(tmp_path, corpus, trained):
+    """A manifest of 16 kHz WAVs given to an 8 kHz checkpoint is refused
+    before scoring, and no report is written."""
     out = tmp_path / "ev"
     code = main(["eval", "--out", str(out), "--checkpoint",
                  os.path.join(trained, "best.ckpt"), "--manifest",
-                 str(manifest)])
+                 write_wide_manifest(tmp_path, corpus)])
     assert code == 3
     assert not (out / "report.txt").exists()
 
 
-def save_4khz_model(path, c=2):
-    """A checkpoint of a tiny C-speaker model that runs at 4 kHz."""
-    model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
-                                    kernel_len=4, num_speakers=c,
-                                    chunk_len=6, sample_rate=4000), seed=0)
-    ckpt.save_separator(path, model, seed=0, step=0)
+def save_at_rate(path, kind, model, rate):
+    """`model` saved with a header config that names `rate` Hz, as files
+    written while the rate was a config key do."""
+    ckpt.save_checkpoint(path, kind,
+                         {**model.config.to_dict(), "sample_rate": rate},
+                         0, 0,
+                         {n: p.data for n, p in model.named_parameters()})
     return str(path)
 
 
-def test_eval_model_at_other_rate_exits_3(tmp_path, corpus):
-    """An 8 kHz manifest given to a 4 kHz checkpoint is refused before
+def save_model_at_rate(path, rate):
+    """A tiny 2-speaker separator saved by save_at_rate."""
+    return save_at_rate(path, "separator", init_params(ModelConfig(
+        n_filters=8, hidden=8, num_blocks=2, kernel_len=4, chunk_len=6),
+        seed=0), rate)
+
+
+def test_eval_model_at_other_rate_exits_4(tmp_path, corpus, capsys):
+    """A checkpoint for 4 kHz audio is refused, naming the file, before
     anything is written."""
     out = tmp_path / "ev"
     code = main(["eval", "--out", str(out), "--checkpoint",
-                 save_4khz_model(tmp_path / "4k.ckpt"), "--manifest",
-                 os.path.join(corpus, "test.jsonl")])
-    assert code == 3
+                 save_model_at_rate(tmp_path / "4k.ckpt", 4000),
+                 "--manifest", os.path.join(corpus, "test.jsonl")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("CheckpointError") and "4k.ckpt" in err
+    assert "4000 Hz" in err
     assert not out.exists()
 
 
-def test_select_calibrates_only_at_the_model_rate(tmp_path, corpus, capsys):
-    """A 4 kHz cascade is given a 4 kHz WAV, but the calibration manifest
-    holds 8 kHz audio: refused, and no channel is written."""
+def test_select_cascade_at_other_rate_exits_4(tmp_path, capsys):
+    """A cascade with a 16 kHz checkpoint is refused, naming the file,
+    and no channel is written."""
     wav = tmp_path / "x.wav"
-    dataio.wav_write(wav, np.zeros(400), 4000)
+    dataio.wav_write(wav, np.zeros(400))
     out = tmp_path / "sel"
     code = main(["select", "--out", str(out), "--cascade",
-                 f"2={save_4khz_model(tmp_path / '4k.ckpt')}",
-                 "--calibrate", os.path.join(corpus, "valid.jsonl"),
+                 f"2={save_model_at_rate(tmp_path / 'wide.ckpt', 16000)}",
+                 "--threshold", "-60", "--in", str(wav)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("CheckpointError") and "wide.ckpt" in err
+    assert not list(out.glob("channel*.wav"))
+
+
+def test_select_calibrates_only_at_the_model_rate(tmp_path, corpus, trained,
+                                                  capsys):
+    """An 8 kHz cascade is given an 8 kHz WAV, but the calibration
+    manifest holds 16 kHz audio: refused, and no channel is written."""
+    wav = tmp_path / "x.wav"
+    dataio.wav_write(wav, np.zeros(400))
+    out = tmp_path / "sel"
+    code = main(["select", "--out", str(out), "--cascade",
+                 f"2={os.path.join(trained, 'best.ckpt')}",
+                 "--calibrate", write_wide_manifest(tmp_path, corpus),
                  "--in", str(wav)])
     assert code == 3
-    assert "InputError" in capsys.readouterr().err
+    assert "DataError" in capsys.readouterr().err
     assert not list(out.glob("channel*.wav"))
 
 
@@ -207,19 +240,19 @@ def test_train_embedder_corpus_at_other_rate_exits_3(tmp_path, corpus,
     assert err.startswith("DataError") and "spk99_u000.wav" in err
 
 
-def test_train_embedder_at_other_rate_exits_3(tmp_path, corpus, capsys):
-    """An --embedder checkpoint at 16 kHz for an 8 kHz model is refused
+def test_train_embedder_at_other_rate_exits_4(tmp_path, corpus, capsys):
+    """An --embedder checkpoint whose header names 16 kHz is refused
     before the first step, and no checkpoint is written."""
-    emb = tmp_path / "emb16k.ckpt"
-    ckpt.save_embedder(emb, init_embedder(
-        EmbedderConfig(sample_rate=16000, n_classes=2), 0), seed=0)
+    emb = save_at_rate(tmp_path / "emb16k.ckpt", "embedder",
+                       init_embedder(EmbedderConfig(n_classes=2), 0), 16000)
     out = tmp_path / "tr"
     code = main(["train", "--out", str(out), "--data", corpus,
                  "--epochs", "1", "--segment", "0.25", "--embedder",
-                 str(emb), *SMALL_FLAGS])
-    assert code == 3
+                 emb, *SMALL_FLAGS])
+    assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("InputError") and "16000 Hz" in err
+    assert err.startswith("CheckpointError") and "emb16k.ckpt" in err
+    assert "16000 Hz" in err
     assert not list(out.glob("*.ckpt"))
 
 

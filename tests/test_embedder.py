@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from voicesep import data as dataio
-from voicesep.embedder import (EMBED_DIM, EmbedderConfig, init_embedder,
+from voicesep.embedder import (CLIP_LEN, EMBED_DIM, EmbedderConfig,
+                               embedder_corpus, init_embedder,
                                train_embedder)
 from voicesep.errors import DataError, InputError
 
@@ -12,7 +13,7 @@ import voicesep.autodiff as ad
 
 
 def embed(model, clips):
-    """(B, EMBED_DIM) embeddings of (B, clip_len) clips as a plain array,
+    """(B, EMBED_DIM) embeddings of (B, CLIP_LEN) clips as a plain array,
     with no tape."""
     return model.embed_tensor(
         ad.Tensor(np.asarray(clips, dtype=np.float32))).data
@@ -30,9 +31,8 @@ def tiny_corpus():
 
 
 def test_feature_geometry():
-    cfg = EmbedderConfig(n_classes=3)
-    model = init_embedder(cfg, seed=0)
-    clips = np.random.default_rng(0).standard_normal((2, cfg.clip_len))
+    model = init_embedder(EmbedderConfig(n_classes=3), seed=0)
+    clips = np.random.default_rng(0).standard_normal((2, CLIP_LEN))
     feats = model.features(ad.Tensor(clips.astype(np.float32)))
     # 20 ms window / 10 ms hop at 8 kHz: 81 bins, 51 frames for 500 ms
     assert feats.data.shape == (2, 1, 51, 81)
@@ -41,10 +41,9 @@ def test_feature_geometry():
 def test_embedding_shape_and_determinism():
     """A batch embeds to one row per clip, each row what the clip gets
     alone (up to float32 rounding), and the same on every call."""
-    cfg = EmbedderConfig(n_classes=3)
-    model = init_embedder(cfg, seed=0)
+    model = init_embedder(EmbedderConfig(n_classes=3), seed=0)
     clips = np.random.default_rng(1).standard_normal(
-        (3, cfg.clip_len)).astype(np.float32) * 0.3
+        (3, CLIP_LEN)).astype(np.float32) * 0.3
     e1, e2 = embed(model, clips), embed(model, clips)
     assert e1.shape == (3, EMBED_DIM)
     np.testing.assert_array_equal(e1, e2)
@@ -54,12 +53,11 @@ def test_embedding_shape_and_determinism():
 
 
 def test_embed_rejects_wrong_length():
-    cfg = EmbedderConfig(n_classes=3)
-    model = init_embedder(cfg, seed=0)
+    model = init_embedder(EmbedderConfig(n_classes=3), seed=0)
     with pytest.raises(InputError):
-        embed(model, np.zeros((1, cfg.clip_len - 1), dtype=np.float32))
+        embed(model, np.zeros((1, CLIP_LEN - 1), dtype=np.float32))
     with pytest.raises(InputError):
-        embed(model, np.zeros(cfg.clip_len, dtype=np.float32))
+        embed(model, np.zeros(CLIP_LEN, dtype=np.float32))
 
 
 def test_train_embedder_learns_toy_speakers(tiny_corpus):
@@ -90,3 +88,24 @@ def test_train_embedder_input_validation():
         train_embedder([(np.zeros(4000), "a")] * 30)  # one speaker only
     with pytest.raises(DataError):
         train_embedder([(np.zeros(4000), "a"), (np.zeros(4000), "b")])
+
+
+def test_embedder_corpus_clips(tmp_path):
+    """Every utterance of the split's pool is cut into 500 ms clips."""
+    dataio.build_corpus(tmp_path, n_speakers=8, utt_per_speaker=2,
+                        mixture_counts={2: 1}, seed=17)
+    pairs = embedder_corpus(tmp_path, "train")
+    assert all(len(clip) == CLIP_LEN == 4000 for clip, _ in pairs)
+    assert len({spk for _, spk in pairs}) >= 2
+
+
+def test_embedder_corpus_rejects_other_sample_rate(tmp_path):
+    """A 1 s utterance at 16 kHz is refused by name, not cut into four
+    250 ms clips."""
+    (tmp_path / "train").mkdir()
+    dataio.wav_write(tmp_path / "train" / "spk00_u000.wav",
+                     np.zeros(dataio.SAMPLE_RATE), dataio.SAMPLE_RATE)
+    dataio.wav_write(tmp_path / "train" / "spk01_u000.wav",
+                     np.zeros(16000), 16000)
+    with pytest.raises(DataError, match="spk01_u000.wav"):
+        embedder_corpus(tmp_path, "train")

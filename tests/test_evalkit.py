@@ -232,9 +232,10 @@ def test_evaluate_switch_fraction_counts_switching_samples(monkeypatch):
                             np.concatenate([b[:n // 2], a[n // 2:]])])
         else:
             outputs.append([a.copy(), b.copy()])
-    by_mixture = {id(e.mixture): out for e, out in zip(entries, outputs)}
+    # one separation per entry, in order
+    separations = iter(outputs)
     monkeypatch.setattr(evalkit.separator, "separate",
-                        lambda m, x: by_mixture[id(x)])
+                        lambda m, x: next(separations))
     report = evalkit.evaluate(entries, small_model())
     assert [s.switched for s in report.samples] == [True] + [False] * 3
     assert report.switch_fraction == 0.25
@@ -302,6 +303,39 @@ def test_evaluate_report_fields_and_text():
     text = report.to_text()
     assert "# aggregate" in text and "# confusion" in text
     assert text.count("\n") >= 5
+
+
+@pytest.mark.parametrize("tta_k", [0, 2])
+def test_evaluate_scores_what_tta_separate_returns(tta_k):
+    """Each sample's score is that of tta_separate's channels for its
+    mixture, seeded by the sample index (at k = 0, separate's channels
+    bit for bit)."""
+    rng = np.random.default_rng(11)
+    model = small_model()
+    entries = []
+    for _ in range(2):
+        a, b = rng.standard_normal((2, 4000))
+        entries.append(dataio.ManifestEntry(
+            mixture=a + b, sources=[a, b], speaker_ids=["x", "y"],
+            gains=[1.0, 1.0]))
+    report = evalkit.evaluate(entries, model, tta_k=tta_k, seed=5)
+    for idx, (entry, sample) in enumerate(zip(entries, report.samples)):
+        ests = evalkit.tta_separate(entry.mixture, model, tta_k, 5 + idx)
+        assert (sample.si_snri, sample.perm) == evalkit.aligned_si_snri(
+            entry.sources, ests, entry.mixture)
+
+
+def test_evaluate_refuses_negative_tta_before_separating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(evalkit.separator, "separate",
+                        lambda m, x: calls.append(m))
+    a = np.ones(400)
+    entries = [dataio.ManifestEntry(
+        mixture=a, sources=[a, a], speaker_ids=["x", "y"],
+        gains=[1.0, 1.0])]
+    with pytest.raises(InputError, match="nonnegative"):
+        evalkit.evaluate(entries, small_model(), tta_k=-3)
+    assert calls == []
 
 
 def test_evaluate_with_cascade_superfluous_channels():

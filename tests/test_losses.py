@@ -7,9 +7,8 @@ from itertools import permutations
 from scipy.optimize import linear_sum_assignment
 
 import voicesep.autodiff as ad
-from voicesep import embedder as embedder_module
 from voicesep import losses
-from voicesep.embedder import EmbedderConfig, init_embedder
+from voicesep.embedder import CLIP_LEN, EmbedderConfig, init_embedder
 from voicesep.errors import (DegenerateTargetError, DimensionError, InputError,
                              NumericError, UsageError)
 
@@ -271,18 +270,24 @@ def test_id_loss_respects_permutation(embedder):
     assert val.item() == pytest.approx(0.0, abs=1e-10)
 
 
-def test_id_loss_segments_follow_the_embedder_clip(monkeypatch):
-    """An embedder of 0.25 s clips scores two 1 s targets in four
-    segments each, not in the 0.5 s segments of the usual clip."""
-    monkeypatch.setattr(embedder_module, "CLIP_S", 0.25)
-    short = init_embedder(EmbedderConfig(n_classes=2), 0)
-    assert short.config.clip_len == 2000
+def test_id_loss_segments_follow_the_embedder_clip(embedder, monkeypatch):
+    """Two targets of two clips and a bit are scored in two CLIP_LEN
+    segments each, the remainder dropped: the embedder sees the estimate
+    and the target windows as (4, CLIP_LEN) batches."""
+    shapes = []
+    embed = embedder.embed_tensor
+
+    def spy(clips):
+        shapes.append(clips.shape)
+        return embed(clips)
+    monkeypatch.setattr(embedder, "embed_tensor", spy)
     rng = np.random.default_rng(13)
-    s = [rng.standard_normal(8000).astype(np.float32) for _ in range(2)]
-    ests = [ad.Tensor(si + 0.2 * rng.standard_normal(8000).astype(
+    n = 2 * CLIP_LEN + 123
+    s = [rng.standard_normal(n).astype(np.float32) for _ in range(2)]
+    ests = [ad.Tensor(si + 0.2 * rng.standard_normal(n).astype(
         np.float32)) for si in s]
-    perm = (0, 1)
-    val = losses.id_loss(s, ests, perm, short)
+    val = losses.id_loss(s, ests, (0, 1), embedder)
+    assert shapes == [(4, CLIP_LEN)] * 2
     assert np.isfinite(val.item()) and val.item() > 0
 
 
@@ -296,7 +301,7 @@ def test_id_loss_rejects_a_perm_that_is_not_a_bijection(embedder):
 def per_clip_id_loss(targets, estimates, perm, embedder):
     """The identity loss one clip at a time: each matched pair of windows
     embedded on its own, the per-window MSEs summed and averaged."""
-    seg = embedder.config.clip_len
+    seg = CLIP_LEN
     n_seg = len(targets[0]) // seg
     total = None
     for i, j in enumerate(perm):
@@ -324,7 +329,7 @@ def test_id_loss_batch_matches_per_clip_loop(dtype, rel):
         p.data = p.data.astype(dtype)
     emb.set_requires_grad(False)
     rng = np.random.default_rng(14)
-    n = 2 * emb.config.clip_len + 123
+    n = 2 * CLIP_LEN + 123
     s = [(rng.standard_normal(n) * 0.3).astype(dtype) for _ in range(2)]
     noisy = [si + (0.3 * rng.standard_normal(n)).astype(dtype) for si in s]
     values, grads = [], []

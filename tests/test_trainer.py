@@ -9,7 +9,8 @@ from voicesep import checkpoint as ckpt
 from voicesep import data as dataio
 from voicesep import evalkit, trainer
 from voicesep.embedder import EmbedderConfig, init_embedder
-from voicesep.errors import ConfigurationError, InputError, NumericError
+from voicesep.errors import (ConfigurationError, DataError, InputError,
+                             NumericError)
 from voicesep.model import ModelConfig, init_params
 
 SMALL = ModelConfig(n_filters=8, hidden=8, num_blocks=2, kernel_len=4,
@@ -147,12 +148,18 @@ def test_idloss_requires_embedder():
                       small_cfg(idloss=True))
 
 
-def test_idloss_embedder_must_run_at_the_model_rate():
-    """A 16 kHz embedder would cut 8 kHz targets into mis-sized windows."""
-    emb = init_embedder(EmbedderConfig(sample_rate=16000, n_classes=2), 0)
-    with pytest.raises(InputError, match="16000 Hz.*8000 Hz"):
-        trainer.train(init_params(SMALL, seed=0), emb, tiny_entries(),
-                      small_cfg(idloss=True))
+def test_train_refuses_no_entries(tmp_path):
+    """An empty entry list is refused before anything is written, with or
+    without a checkpoint to resume from."""
+    model = init_params(SMALL, seed=0)
+    resume = tmp_path / "r.ckpt"
+    ckpt.save_separator(resume, model, seed=0, step=0)
+    for resume_from in (None, str(resume)):
+        out = tmp_path / "t"
+        with pytest.raises(DataError, match="no training entries"):
+            trainer.train(model, None, [], small_cfg(), out_dir=str(out),
+                          resume_from=resume_from)
+        assert not out.exists()
 
 
 def test_log_file_and_checkpoints(tmp_path):
@@ -234,10 +241,10 @@ def test_crop_starts_on_encoder_stride():
 
 
 def test_train_crops_with_model_stride_and_rate(monkeypatch):
-    """kernel_len=16 means stride 8; a 4 kHz model reads 0.25 s as 1000
-    samples, not the 2000 of the corpus rate."""
+    """kernel_len=16 means stride 8; 0.25 s is 2000 samples at
+    SAMPLE_RATE, a multiple of that stride."""
     cfg = ModelConfig(n_filters=8, hidden=8, num_blocks=2, kernel_len=16,
-                      num_speakers=2, chunk_len=6, sample_rate=4000)
+                      num_speakers=2, chunk_len=6)
     calls = []
     crop = trainer._crop
 
@@ -247,7 +254,7 @@ def test_train_crops_with_model_stride_and_rate(monkeypatch):
     monkeypatch.setattr(trainer, "_crop", spy)
     trainer.train(init_params(cfg, seed=0), None, tiny_entries(n=2),
                   small_cfg(epochs=1))
-    assert calls == [(1000, 8)] * 2
+    assert calls == [(2000, 8)] * 2
 
 
 def test_multiloss_off_changes_objective():
