@@ -10,7 +10,6 @@ import json
 import numbers
 import os
 import struct
-import sys
 import numpy as np
 from dataclasses import dataclass
 
@@ -27,6 +26,10 @@ _TILTS = [0.55, 0.75, 0.95]  # harmonic amplitude decay per harmonic index
 _NOISE_FLOOR = 0.10  # broadband noise, relative to each utterance's peak
 _SNR_RANGE_DB = (0.0, 5.0)  # level of each further source against the first
 _SPLIT_FRACS = (0.5, 0.25)  # train and valid shares of the speakers
+# A PCM16 WAV's 32-bit RIFF size field counts the data and 36 header
+# bytes, so one file holds under 2**31 samples, about 74.5 hours at
+# SAMPLE_RATE: a longer utterance cannot be written.
+MAX_DURATION_S = (2 ** 32 - 1 - 36) // 2 // SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -238,10 +241,10 @@ def _check_corpus_args(utt_per_speaker, duration_s, mixture_counts, seed):
     if not _is_count(utt_per_speaker, 1):
         raise DataError("build_corpus: utt_per_speaker must be an integer "
                         f">= 1, got {utt_per_speaker!r}")
-    # False for NaN, an infinity and an int too large for a float alike
-    if not 0.5 <= duration_s <= sys.float_info.max:
-        raise DataError("build_corpus: duration_s must be finite and "
-                        f">= 0.5, got {duration_s!r}")
+    # False for NaN and for an infinity alike
+    if not 0.5 <= duration_s <= MAX_DURATION_S:
+        raise DataError(f"build_corpus: duration_s must be in 0.5.."
+                        f"{MAX_DURATION_S} s, got {duration_s!r}")
     if not isinstance(mixture_counts, dict) or not mixture_counts:
         raise DataError("build_corpus: mixture_counts must be a non-empty "
                         f"{{C: count}} dict, got {mixture_counts!r}")
@@ -270,7 +273,8 @@ def build_corpus(root, n_speakers: int, utt_per_speaker: int,
     50/25/25 split. Returns {split: manifest path}. Byte-identical given
     the same arguments (derived per-sample seeds, sorted key order).
     Raises DataError before writing anything unless every C >= 2, every
-    count >= 0, utt_per_speaker >= 1, duration_s >= 0.5 and seed >= 0.
+    count >= 0, utt_per_speaker >= 1, 0.5 <= duration_s <= MAX_DURATION_S
+    and seed >= 0.
     """
     _check_corpus_args(utt_per_speaker, duration_s, mixture_counts, seed)
     speakers = make_speakers(n_speakers, seed)

@@ -296,12 +296,15 @@ def evaluate(entries, model, tta_k: int = 0, seed: int = 0,
     separation; a negative k raises InputError). Each sample is scored
     by aligned_si_snri: the references map to distinct channels, and
     superfluous channels are left out. Fewer channels than references
-    raise InputError. A cascade without a threshold, or neither a model
-    nor a cascade, raises UsageError before anything is separated; an
-    empty entry list raises DataError.
+    raise InputError. A cascade without a threshold or with a tta_k other
+    than 0, or neither a model nor a cascade, raises UsageError before
+    anything is separated; an empty entry list raises DataError.
     """
     if models is not None and threshold is None:
         raise UsageError("evaluate: a cascade (models) needs a threshold")
+    if models is not None and tta_k != 0:
+        raise UsageError(f"evaluate: tta_k={tta_k}, but a cascade "
+                         "(models) separates without test-time augmentation")
     if models is None and model is None:
         raise UsageError("evaluate: give a model or a cascade (models)")
     entries = list(entries)

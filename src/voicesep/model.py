@@ -21,12 +21,14 @@ from . import autodiff as ad
 from . import dsp
 from .autodiff import LSTMParams, Tensor
 from .errors import ConfigurationError, InputError, NumericError
+from .losses import MAX_CHANNELS
 
 
 @dataclass
 class ModelConfig:
     """The separator's shape. Every model runs at data.SAMPLE_RATE, so
-    the rate is no setting of its own."""
+    the rate is no setting of its own. num_speakers is at most the
+    permutation search's bound, losses.MAX_CHANNELS (9)."""
     n_filters: int = 128       # N: encoder output width
     kernel_len: int = 8        # L: encoder kernel, stride L/2
     num_blocks: int = 6        # b: MulCat blocks, must be even
@@ -44,8 +46,10 @@ class ModelConfig:
                 f"kernel_len must be even and >= 2, got {self.kernel_len}")
         if self.n_filters < 1 or self.hidden < 1:
             raise ConfigurationError("n_filters and hidden must be positive")
-        if self.num_speakers < 1:
-            raise ConfigurationError("num_speakers must be >= 1")
+        if not 1 <= self.num_speakers <= MAX_CHANNELS:
+            raise ConfigurationError(
+                f"num_speakers must be in 1..{MAX_CHANNELS}, got "
+                f"{self.num_speakers}")
         if self.chunk_len is not None and (self.chunk_len < 2 or
                                            self.chunk_len % 2 != 0):
             raise ConfigurationError(

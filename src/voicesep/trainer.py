@@ -91,6 +91,19 @@ def _crop(entry, seg_len: int, stride: int, rng) -> tuple:
     return entry.mixture[sl], [s[sl] for s in entry.sources]
 
 
+def crop_loss(model, embedder, x, targets, cfg: TrainConfig):
+    """One crop's objective as train() builds it: the multi-scale uPIT
+    loss of the separator's output groups plus, with cfg.idloss, the
+    identity loss at the last group's permutation weighted by ID_WEIGHT.
+    x and targets are arrays of the model's dtype."""
+    groups = separator.forward(model, ad.Tensor(x), multiloss=cfg.multiloss)
+    loss, perms = losses.multiscale_loss(targets, groups)
+    if cfg.idloss:
+        idl = losses.id_loss(targets, groups[-1], perms[-1], embedder)
+        loss = ad.add(loss, ad.scale(idl, ID_WEIGHT))
+    return loss
+
+
 def train(model, embedder, train_entries, cfg: TrainConfig,
           valid_entries=None, out_dir=None, resume_from=None):
     """Optimize `model` in place. Returns (model, list of EpochLog).
@@ -153,15 +166,10 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
                 for i in idxs:
                     x, targets = _crop(train_entries[i], seg_len, stride,
                                        rng)
-                    x32 = np.asarray(x, dtype=np.float32)
-                    t32 = [np.asarray(t, dtype=np.float32) for t in targets]
-                    groups = separator.forward(model, ad.Tensor(x32),
-                                               multiloss=cfg.multiloss)
-                    loss, assigns = losses.multiscale_loss(t32, groups)
-                    if cfg.idloss:
-                        idl = losses.id_loss(
-                            t32, groups[-1], assigns[-1].perm, embedder)
-                        loss = ad.add(loss, ad.scale(idl, ID_WEIGHT))
+                    loss = crop_loss(
+                        model, embedder, np.asarray(x, dtype=np.float32),
+                        [np.asarray(t, dtype=np.float32) for t in targets],
+                        cfg)
                     total = loss if total is None else ad.add(total, loss)
                 total = ad.scale(total, 1.0 / len(idxs))
                 value = total.item()

@@ -2,8 +2,9 @@
 augmentation, inference and training paths, recorded as literals.
 
 The literals were recorded before the assignment search moved from
-brute-force permutation loops to `linear_sum_assignment` and before the
-chunk geometry was fixed at hop K/2; the `separate` checksums before the
+brute-force permutation loops to a linear-assignment solver and back to
+one exhaustive search over every permutation, and before the chunk
+geometry was fixed at hop K/2; the `separate` checksums before the
 BiLSTM input projection was computed one block of time steps at a time;
 the corpus digests before the generator's noise floor, SNR range and
 split shares became constants; the gradient sums before backward dropped
@@ -154,8 +155,8 @@ def observe_gradients():
     targets = [np.asarray(s, dtype=np.float32) for s in entry.sources]
     with ad.Tape() as tape:
         groups = forward(model, ad.Tensor(entry.mixture.astype(np.float32)))
-        loss, assigns = losses.multiscale_loss(targets, groups)
-        idl = losses.id_loss(targets, groups[-1], assigns[-1].perm, embedder)
+        loss, perms = losses.multiscale_loss(targets, groups)
+        idl = losses.id_loss(targets, groups[-1], perms[-1], embedder)
         tape.backward(ad.add(loss, ad.scale(idl, trainer.ID_WEIGHT)))
     return {name: [float(np.sum(p.grad, dtype=np.float64)),
                    float(np.sum(np.square(p.grad, dtype=np.float64)))]

@@ -152,6 +152,17 @@ def parameter_arrays(model):
     return {name: p.data for name, p in model.named_parameters()}
 
 
+def test_separator_with_more_channels_than_searched_is_refused(tmp_path):
+    """A header config with C = 10, beyond the permutation search's
+    bound, fails as a CheckpointError naming the file and the field."""
+    p = tmp_path / "c10.ckpt"
+    ckpt.save_checkpoint(p, "separator",
+                         {**SMALL.to_dict(), "num_speakers": 10}, 0, 0,
+                         parameter_arrays(init_params(SMALL, seed=0)))
+    with pytest.raises(CheckpointError, match="c10.ckpt.*num_speakers"):
+        ckpt.load_separator(p)
+
+
 @pytest.mark.parametrize("config", [
     {**SMALL.to_dict(), "bogus": 1}, {"n_filters": "8"}, [1], None,
     {**SMALL.to_dict(), "num_blocks": 3}, {**SMALL.to_dict(), "hidden": 8.5}],

@@ -204,6 +204,8 @@ def test_corpus_infeasible_split():
     {"duration_s": float("inf")},
     # beyond float range: refused, not a ValueError from numpy
     pytest.param({"duration_s": 10 ** 400}, id="{'duration_s': 10**400}"),
+    # finite, but more samples than a WAV file holds
+    {"duration_s": 1e300},
     {"mixture_counts": {}}, {"mixture_counts": [1]},
     {"mixture_counts": {"x": 3}}, {"mixture_counts": {"1": 2}},
     {"mixture_counts": {1: 2}}, {"mixture_counts": {True: 2}},

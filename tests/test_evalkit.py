@@ -338,6 +338,24 @@ def test_evaluate_refuses_negative_tta_before_separating(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("tta_k", [-3, 2])
+def test_evaluate_refuses_tta_with_a_cascade_before_separating(monkeypatch,
+                                                               tta_k):
+    """A cascade separates without test-time augmentation, so any tta_k
+    but 0 is a misuse, not a setting to drop silently."""
+    calls = []
+    monkeypatch.setattr(evalkit.separator, "separate",
+                        lambda m, x: calls.append(m))
+    a = np.ones(400)
+    entries = [dataio.ManifestEntry(
+        mixture=a, sources=[a, a], speaker_ids=["x", "y"],
+        gains=[1.0, 1.0])]
+    with pytest.raises(UsageError, match="tta_k"):
+        evalkit.evaluate(entries, None, models={2: small_model(2)},
+                         threshold=-40.0, tta_k=tta_k)
+    assert calls == []
+
+
 def test_evaluate_with_cascade_superfluous_channels():
     rng = np.random.default_rng(9)
     a = rng.standard_normal(4000)

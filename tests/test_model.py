@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import voicesep.autodiff as ad
 from voicesep import dsp
 from voicesep.errors import ConfigurationError, InputError, NumericError
+from voicesep.losses import MAX_CHANNELS
 from voicesep.model import (ModelConfig, decode_head, encode, forward,
                             init_params, mulcat_block, separate)
 
@@ -189,6 +190,16 @@ def test_config_validation():
         ModelConfig(**{**SMALL, "num_speakers": 0}).validate()
 
 
+def test_config_bounds_speakers_by_the_permutation_search():
+    """C beyond losses.MAX_CHANNELS is refused, whether built directly
+    or read back from a dict."""
+    ModelConfig(**{**SMALL, "num_speakers": MAX_CHANNELS}).validate()
+    with pytest.raises(ConfigurationError, match="num_speakers"):
+        ModelConfig(num_speakers=10).validate()
+    with pytest.raises(ConfigurationError, match="num_speakers"):
+        ModelConfig.from_dict({**SMALL, "num_speakers": MAX_CHANNELS + 1})
+
+
 def test_config_round_trip():
     cfg = ModelConfig(**SMALL, chunk_len=14)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
@@ -203,9 +214,9 @@ def test_channel_order_is_arbitrary_convention():
     mix = (s[0] + s[1]).astype(np.float32)
     m = small_model(5)
     outs = separate(m, mix)
-    _, assign = losses.upit([si.astype(np.float32) for si in s],
-                            [o for o in outs])
-    assert sorted(assign.perm) == [0, 1]  # whichever order appeared
+    _, perm = losses.upit([si.astype(np.float32) for si in s],
+                          [o for o in outs])
+    assert sorted(perm) == [0, 1]  # whichever order appeared
 
 
 # --- the encoder and wave decoder against the convolutions ---

@@ -1,7 +1,11 @@
 """Package metadata, the exported names, and a scan for dead code."""
 
 import ast
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +20,44 @@ def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as f:
         meta = tomllib.load(f)
     assert voicesep.__version__ == meta["project"]["version"]
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        meta = tomllib.load(f)
+    names = [re.match(r"[A-Za-z0-9._-]+", dep).group()
+             for dep in meta["project"]["dependencies"]]
+    assert names == ["numpy"]
+
+
+# One training step and one cascade evaluation in a fresh interpreter,
+# then the names of any scipy modules that got imported on the way.
+TRAIN_AND_EVALUATE = """
+import sys
+import numpy as np
+import voicesep as vs
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal(800), rng.standard_normal(800)
+entry = vs.ManifestEntry(mixture=a + b, sources=[a, b],
+                         speaker_ids=["x", "y"], gains=[1.0, 1.0])
+models = {c: vs.init_params(vs.ModelConfig(
+    n_filters=8, hidden=8, num_blocks=2, kernel_len=4, num_speakers=c,
+    chunk_len=6), seed=0) for c in (2, 3)}
+vs.train(models[2], None, [entry],
+         vs.TrainConfig(epochs=1, segment_s=0.1, idloss=False))
+vs.evaluate([entry], None, models=models, threshold=-40.0)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_training_and_evaluation_import_no_scipy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PKG.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", TRAIN_AND_EVALUATE],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_all_is_sorted_unique_and_what_init_imports():
