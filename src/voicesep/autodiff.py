@@ -77,15 +77,42 @@ class _Node(NamedTuple):
     backward: Callable[[np.ndarray], None]
 
 
+class Workspace:
+    """Scratch arrays shared by the tapes of one training run, kept on a
+    free list keyed on (shape, dtype).
+
+    An op takes a buffer that never leaves it -- one it fully writes
+    before reading, and that is neither returned nor saved by another op
+    -- and gives it back when its backward has finished with it. A tape
+    whose backward has run may still hold such a buffer while a later
+    tape reuses it, which is why a tape's backward runs once.
+    """
+
+    def __init__(self):
+        self._free: dict[tuple, list[np.ndarray]] = {}
+
+    def take(self, shape: tuple, dtype) -> np.ndarray:
+        free = self._free.get((shape, np.dtype(dtype)))
+        return free.pop() if free else np.empty(shape, dtype=dtype)
+
+    def give(self, *arrays: np.ndarray) -> None:
+        for a in arrays:
+            self._free.setdefault((a.shape, a.dtype), []).append(a)
+
+
 class Tape:
     """Ordered record of operations for one forward pass.
 
     Replaying the record in reverse visits every node after all of its
-    consumers, so a single backward sweep suffices.
+    consumers, so a single backward sweep suffices. With a `workspace`,
+    ops take their large scratch arrays from it instead of allocating
+    them (see Workspace); without one they allocate fresh.
     """
 
-    def __init__(self):
+    def __init__(self, workspace: Optional[Workspace] = None):
         self._nodes: list[_Node] = []
+        self.workspace = workspace
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
@@ -107,11 +134,11 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate grads of every parameter reachable from `loss`.
 
-        Parameter (leaf) grads accumulate across repeated calls. Each
-        intermediate (recorded output) grad is dropped as soon as its
-        node's backward has consumed it, so none is held after the call;
-        they are also reset at the start, so a call after a failed one
-        starts from zero.
+        Runs once per tape: ops may have given their saved buffers back to
+        the workspace, so a second call raises UsageError. Parameter (leaf)
+        grads accumulate across tapes. Each intermediate (recorded output)
+        grad is dropped as soon as its node's backward has consumed it, so
+        none is held after the call.
         """
         if loss._tape is not self:
             raise UsageError("backward() called on a tensor that was not "
@@ -119,9 +146,9 @@ class Tape:
         if loss.data.size != 1:
             raise UsageError("backward() requires a scalar loss, got shape "
                              f"{loss.data.shape}")
-        # Intermediates (= recorded outputs) start fresh; leaves keep theirs.
-        for node in self._nodes:
-            node.out.grad = None
+        if self._spent:
+            raise UsageError("backward() already ran on this tape")
+        self._spent = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self._nodes):
             g, node.out.grad = node.out.grad, None
@@ -601,6 +628,14 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     (S, D, B, H), and keeps each set's output; backward recomputes tanh(c)
     from them, re-reads x for the input-weight gradient and the set
     outputs for the hidden-weight gradient.
+
+    If the tape has a workspace, the saved gates and cell states and
+    backward's two large scratch arrays -- the time-major set-output
+    grads gst (S, D, B, H) and the gate grads dZ (D, B, S, 4H) -- are
+    taken from it, each fully written before it is read, and given back
+    when backward ends. The set outputs and the returned tensor stay
+    fresh: another op may save them (with one set, the output is that
+    set's buffer).
     """
     if len(param_sets) not in (1, 2):
         raise ConfigurationError("bilstm_bank: expected 1 or 2 parameter "
@@ -627,7 +662,12 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     whs = np.concatenate([p.wh.data for p in param_sets])
     bs = np.concatenate([p.b.data for p in param_sets])
     inputs = (x,) + tuple(t for p in param_sets for t in p)
-    keep = active_tape() is not None and any(t.requires_grad for t in inputs)
+    tape = active_tape()
+    keep = tape is not None and any(t.requires_grad for t in inputs)
+    ws = tape.workspace if keep else None
+
+    def scratch(shape):
+        return np.empty(shape, dtype=dt) if ws is None else ws.take(shape, dt)
 
     # time-major input rows (a copy unless B == 1); forward and reverse
     # directions project through their own (F, sets * 4H) weights
@@ -644,8 +684,8 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     # and reverse ones, in input time order, in its second
     sets_out = np.empty((n_sets, B, S, 2 * H), dtype=dt)
     if keep:
-        gates = np.empty((S, D, B, G), dtype=dt)
-        cs = np.empty((S, D, B, H), dtype=dt)
+        gates = scratch((S, D, B, G))
+        cs = scratch((S, D, B, H))
     else:
         z = np.empty((D, B, G), dtype=dt)
     h = np.zeros((D, B, H), dtype=dt)
@@ -690,16 +730,22 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     out = Tensor(ods[0] if n_sets == 1 else ods[0] * ods[1])
 
     def backward(g):
-        # the grads of the set outputs: through the product, as mul's
-        gst = np.empty((S, D, B, H), dtype=dt)
-        for s, gs in enumerate([g] if n_sets == 1 else
-                               [g * ods[1], g * ods[0]]):
-            gst[:, 2 * s] = gs[..., :H].transpose(1, 0, 2)
-            gst[:, 2 * s + 1] = gs[:, ::-1, H:].transpose(1, 0, 2)
-        del gs  # copied into gst; not held through the loop
+        # the grads of the set outputs, time-major, the reverse directions
+        # in step order: through the product, as mul's, straight into gst
+        gst = scratch((S, D, B, H))
+        g_time = g.transpose(1, 0, 2)
+        fwd_g, rev_g = g_time[..., :H], g_time[::-1, :, H:]
+        if n_sets == 1:
+            gst[:, 0] = fwd_g
+            gst[:, 1] = rev_g
+        else:
+            for s in range(2):
+                other = ods[1 - s].transpose(1, 0, 2)
+                np.multiply(fwd_g, other[..., :H], out=gst[:, 2 * s])
+                np.multiply(rev_g, other[::-1, :, H:], out=gst[:, 2 * s + 1])
         # dZ stays (D, B, S, 4H): the weight-gradient products below then
         # reduce over (B, S) rows in batch-major order
-        dZ = np.empty((D, B, S, G), dtype=dt)
+        dZ = scratch((D, B, S, G))
         dh = np.zeros((D, B, H), dtype=dt)
         dc = np.zeros((D, B, H), dtype=dt)
         tc = np.empty((D, B, H), dtype=dt)
@@ -744,7 +790,10 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             np.multiply(dct, zf, out=dc)
         dZ2 = dZ.reshape(D, B * S, G)
         if any(p.wx.requires_grad for p in param_sets):
-            X2 = np.stack([xd, xd[:, ::-1]]).reshape(2, B * S, F)
+            # the rows each direction read: x itself for the forward ones,
+            # a reversed copy for the reverse ones
+            x_rows = (xd.reshape(B * S, F),
+                      np.ascontiguousarray(xd[:, ::-1]).reshape(B * S, F))
         for s, p in enumerate(param_sets):
             sl = slice(2 * s, 2 * s + 2)
             if p.b.requires_grad:
@@ -760,8 +809,10 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
                     h_prev.reshape(2, B * S, H).transpose(0, 2, 1),
                     dZ2[sl]))
             if p.wx.requires_grad:
-                p.wx.accumulate_grad(np.matmul(X2.transpose(0, 2, 1),
-                                               dZ2[sl]))
+                gwx = np.empty((2, F, G), dtype=dt)
+                for d in range(2):
+                    np.matmul(x_rows[d].T, dZ2[2 * s + d], out=gwx[d])
+                p.wx.accumulate_grad(gwx)
         if x.requires_grad:
             # one direction at a time, never a (D, B, S, F) block: the sum
             # over the forward directions, the one over the reverse
@@ -777,6 +828,8 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             fwd += rev.reshape(B, S, F)[:, ::-1]
             del rev
             x.accumulate_grad(fwd)
+        if ws is not None:
+            ws.give(gates, cs, gst, dZ)
     return _finish(out, inputs, backward)
 
 

@@ -148,6 +148,8 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
     seg_len -= seg_len % stride   # encode needs a multiple of the stride
     logs = []
     best_val = -np.inf
+    # one set of BiLSTM scratch buffers, reused by every step's tape
+    workspace = ad.Workspace()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train.log") if out_dir else None
@@ -161,7 +163,7 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
         for b0 in range(0, n, cfg.batch_size):
             idxs = order[b0:b0 + cfg.batch_size]
             step_no = (epoch - 1) * steps_per_epoch + b0 // cfg.batch_size + 1
-            with ad.Tape() as tape:
+            with ad.Tape(workspace=workspace) as tape:
                 total = None
                 for i in idxs:
                     x, targets = _crop(train_entries[i], seg_len, stride,

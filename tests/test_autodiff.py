@@ -283,14 +283,27 @@ def test_backward_requires_scalar_and_same_tape():
 
 
 def test_leaf_grads_accumulate_intermediates_reset():
+    """A leaf's grad sums over the tapes it took part in, each with
+    intermediates of its own."""
+    x = t64((3,))
+    grads = []
+    for _ in range(2):
+        with ad.Tape() as tape:
+            loss = ad.mean_axes(ad.mul(x, x), (0,))
+        tape.backward(loss)
+        grads.append(x.grad.copy())
+    np.testing.assert_allclose(grads[1], 2 * grads[0])
+
+
+def test_backward_runs_once_per_tape():
     x = t64((3,))
     with ad.Tape() as tape:
-        y = ad.mul(x, x)
-        loss = ad.mean_axes(y, (0,))
+        loss = weighted_sum(ad.mul(x, x))
+    tape.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(UsageError):
         tape.backward(loss)
-        first = x.grad.copy()
-        tape.backward(loss)
-    np.testing.assert_allclose(x.grad, 2 * first)
+    assert np.array_equal(x.grad, first)
 
 
 def test_backward_drops_every_intermediate_grad():

@@ -350,6 +350,26 @@ def test_taped_call_holds_no_input_copy_or_tanh_c():
     assert saved <= held < saved + SLACK
 
 
+def test_pooled_taped_call_holds_no_new_gates_or_cs():
+    """Under a tape whose workspace an earlier call's backward has filled,
+    a taped call takes its gates and cell states from the workspace: it
+    holds only the set outputs and the gated product."""
+    x, sets, sizes = mem_case()
+    workspace = ad.Workspace()
+    with ad.Tape(workspace=workspace) as tape:
+        loss = ad.mean_axes(ad.bilstm_bank(x, sets), (0, 1, 2))
+    tape.backward(loss)
+    tape = ad.Tape(workspace=workspace)
+
+    def call():
+        with tape:
+            return ad.bilstm_bank(x, sets)
+    _, held, _ = traced_call(call)
+    saved = sizes["outs"] + sizes["gated"]
+    assert SLACK < sizes["cs"] < sizes["gates"]
+    assert saved <= held < saved + SLACK
+
+
 # A wide input, so that a (D, B, S, F) input-gradient block would not
 # fit within the slack of a bound that leaves it out.
 WIDE_SHAPE = (64, 64, 128, 32)
@@ -357,7 +377,8 @@ WIDE_SHAPE = (64, 64, 128, 32)
 
 def test_backward_peaks_without_a_stacked_input_gradient():
     """Backward holds the output gradient, the time-major set-output
-    gradients, dZ, the stacked input rows for the input-weight gradient
+    gradients, dZ, a reversed copy of the input rows for the reverse
+    directions' input-weight gradient (the forward ones read x itself)
     and one set's h_prev, besides the per-step scratch and the parameter
     gradients. It builds the input gradient one direction at a time, in a
     forward sum, a reverse sum and one product: never a (D, B, S, F)
@@ -366,7 +387,7 @@ def test_backward_peaks_without_a_stacked_input_gradient():
     with ad.Tape() as tape:
         loss = ad.mean_axes(ad.bilstm_bank(x, sets), (0, 1, 2))
     _, _, peak = traced_call(lambda: tape.backward(loss))
-    held = (sizes["gated"] + sizes["hs"] + sizes["dZ"] + 2 * sizes["x"]
+    held = (sizes["gated"] + sizes["hs"] + sizes["dZ"] + sizes["x"]
             + sizes["h_prev"])
     bound = held + sizes["bwd_step"] + sizes["params"] + 3 * sizes["x"] \
         + SLACK

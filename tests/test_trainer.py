@@ -1,6 +1,8 @@
 """Training loop: schedule, determinism, resume, ablations, validation."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +135,57 @@ def test_crop_objective_gradient_matches_central_differences(monkeypatch,
         down = objective().item()
         p.data = orig
         assert abs((up - down) / (2 * eps) - analytic) <= tol, name
+
+
+def step_grads(model, entry, workspace=None):
+    """The model's gradients from one crop's objective on a tape of its
+    own, with `workspace` if given."""
+    for _, p in model.named_parameters():
+        p.zero_grad()
+    with ad.Tape(workspace=workspace) as tape:
+        loss = trainer.crop_loss(
+            model, None, entry.mixture.astype(np.float32),
+            [t.astype(np.float32) for t in entry.sources], small_cfg())
+    tape.backward(loss)
+    return [p.grad.copy() for _, p in model.named_parameters()]
+
+
+def test_stale_workspace_buffers_leave_gradients_unchanged():
+    """Steps that share a workspace, as train()'s do, give the gradient
+    bits of a step that allocates fresh, also when every buffer the
+    workspace holds is NaN-filled: each pooled buffer is written before
+    it is read. The second and third steps reuse exactly the buffers the
+    first one gave back."""
+    model = init_params(SMALL, seed=1)
+    model.set_requires_grad(True)
+    entry = tiny_entries(n=1)[0]
+    fresh = step_grads(model, entry)
+    workspace = ad.Workspace()
+    pooled = None
+    for _ in range(3):
+        grads = step_grads(model, entry, workspace)
+        assert all(np.array_equal(g, f) for g, f in zip(grads, fresh))
+        buffers = [b for free in workspace._free.values() for b in free]
+        assert buffers
+        assert pooled is None or {id(b) for b in buffers} == pooled
+        pooled = {id(b) for b in buffers}
+        for b in buffers:
+            b.fill(np.nan)
+
+
+def test_train_steps_share_one_workspace(monkeypatch):
+    tapes = []
+
+    class Recorded(ad.Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(self)
+    monkeypatch.setattr(ad, "Tape", Recorded)
+    trainer.train(init_params(SMALL, seed=1), None, tiny_entries(),
+                  small_cfg(epochs=2))
+    assert len(tapes) == 4
+    assert isinstance(tapes[0].workspace, ad.Workspace)
+    assert all(t.workspace is tapes[0].workspace for t in tapes)
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -345,3 +398,49 @@ def test_identity_loss_tape_does_not_grow_with_the_crop(monkeypatch):
                       trainer.TrainConfig(epochs=1, batch_size=1,
                                           segment_s=seconds))
     assert sizes[0] == sizes[1] <= 130
+
+
+# A short deterministic training and one separation in a fresh
+# interpreter, then a SHA-1 of the trained parameters and the separated
+# channels. At N = H = 32 on 1 s crops the input projections and the
+# weight-gradient products are large enough for OpenBLAS to split them
+# over threads.
+TRAIN_AND_SEPARATE = """
+import hashlib
+import numpy as np
+import voicesep as vs
+rng = np.random.default_rng(0)
+entries = []
+for _ in range(2):
+    a, b = rng.standard_normal((2, vs.SAMPLE_RATE))
+    entries.append(vs.ManifestEntry(mixture=a + b, sources=[a, b],
+                                    speaker_ids=["x", "y"], gains=[1.0, 1.0]))
+model = vs.init_params(vs.ModelConfig(n_filters=32, hidden=32, num_blocks=2,
+                                      num_speakers=2), seed=0)
+vs.train(model, None, entries,
+         vs.TrainConfig(epochs=1, segment_s=1.0, idloss=False))
+digest = hashlib.sha1()
+for _, p in model.named_parameters():
+    digest.update(p.data.tobytes())
+for channel in vs.separate(model, entries[0].mixture):
+    digest.update(np.asarray(channel).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count():
+    """Training and separation give the same bytes with one OpenBLAS
+    thread as with the host's default number."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS runs a single thread either way")
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(trainer.__file__)),
+        os.environ.get("PYTHONPATH")]))
+    digests = [subprocess.run(
+        [sys.executable, "-c", TRAIN_AND_SEPARATE], env={**env, **extra},
+        capture_output=True, text=True, check=True).stdout.strip()
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+    assert len(digests[0]) == 40
+    assert digests[0] == digests[1]
