@@ -12,6 +12,7 @@ Training runs in float32; gradient checking runs the same graph in float64
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import functools
 import math
@@ -86,18 +87,41 @@ class Workspace:
     -- and gives it back when its backward has finished with it. A tape
     whose backward has run may still hold such a buffer while a later
     tape reuses it, which is why a tape's backward runs once.
+
+    The free list holds at most one tape's worth: a tape's backward ends
+    with `trim`, which keeps of each (shape, dtype) only as many free
+    buffers as were taken since the last trim, and a take that finds no
+    free buffer drops those of every shape not taken since then. Steps
+    whose shapes repeat (crops of one length) reuse every buffer; a step
+    with shapes of its own (an entry shorter than the crop) lets go of
+    the last step's buffers at its first new shape and allocates fresh.
     """
 
     def __init__(self):
         self._free: dict[tuple, list[np.ndarray]] = {}
+        self._taken: collections.Counter = collections.Counter()
 
     def take(self, shape: tuple, dtype) -> np.ndarray:
-        free = self._free.get((shape, np.dtype(dtype)))
-        return free.pop() if free else np.empty(shape, dtype=dtype)
+        key = (shape, np.dtype(dtype))
+        self._taken[key] += 1
+        free = self._free.get(key)
+        if free:
+            return free.pop()
+        # a shape the last tape left none of: the step's lengths changed,
+        # so free buffers of shapes this tape has not taken yet are stale
+        self._free = {k: f for k, f in self._free.items() if self._taken[k]}
+        return np.empty(shape, dtype=dtype)
 
     def give(self, *arrays: np.ndarray) -> None:
         for a in arrays:
             self._free.setdefault((a.shape, a.dtype), []).append(a)
+
+    def trim(self) -> None:
+        """Drop the free buffers beyond those taken since the last trim."""
+        self._free = {key: free[:self._taken[key]]
+                      for key, free in self._free.items()
+                      if self._taken[key]}
+        self._taken.clear()
 
 
 class Tape:
@@ -106,7 +130,10 @@ class Tape:
     Replaying the record in reverse visits every node after all of its
     consumers, so a single backward sweep suffices. With a `workspace`,
     ops take their large scratch arrays from it instead of allocating
-    them (see Workspace); without one they allocate fresh.
+    them (see Workspace); without one they allocate fresh. A tape makes
+    no workspace of its own: a tape outlives its backward (every output
+    it recorded refers to it), and a pool of its own would keep the
+    backward's scratch alive with it.
     """
 
     def __init__(self, workspace: Optional[Workspace] = None):
@@ -154,6 +181,8 @@ class Tape:
             g, node.out.grad = node.out.grad, None
             if g is not None:
                 node.backward(g)
+        if self.workspace is not None:
+            self.workspace.trim()
 
 
 # The tapes entered in this thread (or asyncio task), innermost last. A

@@ -306,6 +306,28 @@ def test_backward_runs_once_per_tape():
     assert np.array_equal(x.grad, first)
 
 
+def test_workspace_keeps_no_more_than_the_last_tape_took():
+    """After a trim the free list holds, of each shape, only as many
+    buffers as were taken since the trim before, and reuses them. A take
+    it has no buffer for drops those of shapes not taken since the trim."""
+    ws = ad.Workspace()
+    f32 = np.dtype(np.float32)
+
+    def held():
+        return {k[0]: len(free) for k, free in ws._free.items() if free}
+    first = [ws.take((4,), f32) for _ in range(3)] + [ws.take((5,), f32)]
+    ws.give(*first)
+    ws.trim()
+    reused = ws.take((4,), f32)
+    assert any(reused is a for a in first[:3])
+    assert held() == {(4,): 2, (5,): 1}
+    new = ws.take((6,), f32)
+    assert held() == {(4,): 2}
+    ws.give(reused, new)
+    ws.trim()
+    assert held() == {(4,): 1, (6,): 1}
+
+
 def test_backward_drops_every_intermediate_grad():
     """Once a node's backward has used its output's grad, the tape lets
     it go: no recorded output holds a grad after backward, and the

@@ -1,5 +1,6 @@
 """Training loop: schedule, determinism, resume, ablations, validation."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -186,6 +187,41 @@ def test_train_steps_share_one_workspace(monkeypatch):
     assert len(tapes) == 4
     assert isinstance(tapes[0].workspace, ad.Workspace)
     assert all(t.workspace is tapes[0].workspace for t in tapes)
+
+
+def test_workspace_holds_one_steps_buffers_on_mixed_lengths(monkeypatch):
+    """Entries shorter than the crop are used whole, so a corpus of mixed
+    lengths gives each step BiLSTM shapes of its own. After every step the
+    workspace holds buffers of that step's shapes only, no more of each
+    than the step took: those of a length no later step uses are dropped,
+    not kept until train() returns."""
+    workspaces, steps = [], []
+
+    class Recorded(ad.Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+        def trim(self):
+            taken = dict(self._taken)
+            super().trim()
+            steps.append((taken, self.held()))
+
+        def held(self):
+            return {k: len(free) for k, free in self._free.items() if free}
+    monkeypatch.setattr(ad, "Workspace", Recorded)
+    entries = [dataclasses.replace(e, mixture=e.mixture[:n],
+                                   sources=[s[:n] for s in e.sources])
+               for e, n in zip(tiny_entries(n=5), (800, 1200, 1600, 2000,
+                                                    2400))]
+    trainer.train(init_params(SMALL, seed=1), None, entries,
+                  small_cfg(epochs=1, batch_size=1, segment_s=0.5))
+    assert len(workspaces) == 1 and len(steps) == len(entries)
+    assert len({frozenset(taken) for taken, _ in steps}) == len(entries)
+    for taken, held in steps:
+        assert held
+        assert all(n <= taken.get(k, 0) for k, n in held.items())
+    assert workspaces[0].held() == steps[-1][1]
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -429,18 +465,23 @@ print(digest.hexdigest())
 
 
 def test_bits_do_not_depend_on_the_blas_thread_count():
-    """Training and separation give the same bytes with one OpenBLAS
-    thread as with the host's default number."""
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("one CPU: OpenBLAS runs a single thread either way")
-    env = {k: v for k, v in os.environ.items() if k not in (
-        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    """Training and separation give the same bytes with one BLAS thread as
+    with the host's default number."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        pytest.skip("one CPU: the BLAS runs a single thread either way")
+    # every thread-count variable of the common BLAS builds: OpenBLAS,
+    # OpenMP, MKL, BLIS and Accelerate
+    threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+               "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in threads}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         os.path.dirname(os.path.dirname(trainer.__file__)),
         os.environ.get("PYTHONPATH")]))
     digests = [subprocess.run(
         [sys.executable, "-c", TRAIN_AND_SEPARATE], env={**env, **extra},
         capture_output=True, text=True, check=True).stdout.strip()
-        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+        for extra in (dict.fromkeys(threads, "1"), {})]
     assert len(digests[0]) == 40
     assert digests[0] == digests[1]
