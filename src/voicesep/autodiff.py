@@ -63,9 +63,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g into grad. A first g is copied, unless `owned`: an array
+        the caller just made and neither keeps nor hands to another
+        tensor, which grad then adopts."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = (np.asarray(g, dtype=self.data.dtype) if owned else
+                         np.array(g, dtype=self.data.dtype, copy=True))
         else:
             self.grad += g
 
@@ -86,7 +90,9 @@ class Workspace:
     before reading, and that is neither returned nor saved by another op
     -- and gives it back when its backward has finished with it. A tape
     whose backward has run may still hold such a buffer while a later
-    tape reuses it, which is why a tape's backward runs once.
+    tape reuses it, which is why a tape's backward runs once. `give`
+    refuses (UsageError) a view or a non-C-contiguous array: lending one
+    could let two holders write one buffer.
 
     The free list holds at most one tape's worth: a tape's backward ends
     with `trim`, which keeps of each (shape, dtype) only as many free
@@ -113,6 +119,10 @@ class Workspace:
         return np.empty(shape, dtype=dtype)
 
     def give(self, *arrays: np.ndarray) -> None:
+        if any(a.base is not None or not a.flags.c_contiguous
+               for a in arrays):
+            raise UsageError("Workspace.give: only a C-contiguous array "
+                             "that owns its memory can be reused")
         for a in arrays:
             self._free.setdefault((a.shape, a.dtype), []).append(a)
 
@@ -505,9 +515,10 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, fout)
         if x.requires_grad:
-            x.accumulate_grad((g2 @ w.data.T).reshape(x.data.shape))
+            x.accumulate_grad((g2 @ w.data.T).reshape(x.data.shape),
+                              owned=True)
         if w.requires_grad:
-            w.accumulate_grad(x2.T @ g2)
+            w.accumulate_grad(x2.T @ g2, owned=True)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0))
     inputs = (x, w) if b is None else (x, w, b)
@@ -652,19 +663,17 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     ones at time S-1-t.
 
     Without a recording tape (or when nothing requires grad) the loop
-    keeps only h, c and the outputs it fills. Under a tape it also
-    saves the activated gates (S, D, B, 4H) and the cell states
-    (S, D, B, H), and keeps each set's output; backward recomputes tanh(c)
-    from them, re-reads x for the input-weight gradient and the set
-    outputs for the hidden-weight gradient.
+    keeps only h, c and the outputs it fills. Under a tape it also saves
+    the activated gates (S, D, B, 4H) and cell states (S, D, B, H) for
+    backward, which recomputes tanh(c) from them and re-reads x and the
+    set outputs for the weight gradients.
 
-    If the tape has a workspace, the saved gates and cell states and
-    backward's two large scratch arrays -- the time-major set-output
-    grads gst (S, D, B, H) and the gate grads dZ (D, B, S, 4H) -- are
-    taken from it, each fully written before it is read, and given back
-    when backward ends. The set outputs and the returned tensor stay
-    fresh: another op may save them (with one set, the output is that
-    set's buffer).
+    Under a tape with a workspace, every array the op keeps but does not
+    return is taken from it and given back when backward ends: the
+    stacked weights, the gates and cell states, two sets' outputs, and
+    backward's grads gst (S, D, B, H) and dZ (D, B, S, 4H). Each is fully
+    written before it is read. What is returned stays fresh, since a
+    later op may save it: the gated product, or one set's output block.
     """
     if len(param_sets) not in (1, 2):
         raise ConfigurationError("bilstm_bank: expected 1 or 2 parameter "
@@ -687,16 +696,24 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     n_sets = len(param_sets)
     D = 2 * n_sets  # sets x directions
     G, H3 = 4 * H, 3 * H
-    wxs = np.concatenate([p.wx.data for p in param_sets])  # (D, F, 4H)
-    whs = np.concatenate([p.wh.data for p in param_sets])
-    bs = np.concatenate([p.b.data for p in param_sets])
     inputs = (x,) + tuple(t for p in param_sets for t in p)
     tape = active_tape()
     keep = tape is not None and any(t.requires_grad for t in inputs)
     ws = tape.workspace if keep else None
+    lent = []  # what scratch took from the workspace, given back in backward
 
     def scratch(shape):
-        return np.empty(shape, dtype=dt) if ws is None else ws.take(shape, dt)
+        if ws is None:
+            return np.empty(shape, dtype=dt)
+        a = ws.take(shape, dt)
+        lent.append(a)
+        return a
+
+    wxs = np.concatenate([p.wx.data for p in param_sets],
+                         out=scratch((D, F, G)))
+    whs = np.concatenate([p.wh.data for p in param_sets],
+                         out=scratch((D, H, G)))
+    bs = np.concatenate([p.b.data for p in param_sets], out=scratch((D, G)))
 
     # time-major input rows (a copy unless B == 1); forward and reverse
     # directions project through their own (F, sets * 4H) weights
@@ -710,8 +727,11 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
 
     # the set outputs, filled step by step: set s is the contiguous
     # (B, S, 2H) block sets_out[s], forward hidden states in its first half
-    # and reverse ones, in input time order, in its second
-    sets_out = np.empty((n_sets, B, S, 2 * H), dtype=dt)
+    # and reverse ones, in input time order, in its second. One set's
+    # block is the returned tensor; two sets' never leave the op.
+    sets_out_shape = (n_sets, B, S, 2 * H)
+    sets_out = (scratch(sets_out_shape) if n_sets == 2
+                else np.empty(sets_out_shape, dtype=dt))
     if keep:
         gates = scratch((S, D, B, G))
         cs = scratch((S, D, B, H))
@@ -826,7 +846,7 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
         for s, p in enumerate(param_sets):
             sl = slice(2 * s, 2 * s + 2)
             if p.b.requires_grad:
-                p.b.accumulate_grad(dZ[sl].sum(axis=(1, 2)))
+                p.b.accumulate_grad(dZ[sl].sum(axis=(1, 2)), owned=True)
             if p.wh.requires_grad:
                 # the outputs hold the hidden states; the reverse half is
                 # stored in input time order; step 0 has no predecessor
@@ -836,12 +856,12 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
                 h_prev[1, :, 1:] = ods[s][:, :0:-1, H:]
                 p.wh.accumulate_grad(np.matmul(
                     h_prev.reshape(2, B * S, H).transpose(0, 2, 1),
-                    dZ2[sl]))
+                    dZ2[sl]), owned=True)
             if p.wx.requires_grad:
                 gwx = np.empty((2, F, G), dtype=dt)
                 for d in range(2):
                     np.matmul(x_rows[d].T, dZ2[2 * s + d], out=gwx[d])
-                p.wx.accumulate_grad(gwx)
+                p.wx.accumulate_grad(gwx, owned=True)
         if x.requires_grad:
             # one direction at a time, never a (D, B, S, F) block: the sum
             # over the forward directions, the one over the reverse
@@ -856,9 +876,9 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             fwd = fwd.reshape(B, S, F)
             fwd += rev.reshape(B, S, F)[:, ::-1]
             del rev
-            x.accumulate_grad(fwd)
+            x.accumulate_grad(fwd, owned=True)
         if ws is not None:
-            ws.give(gates, cs, gst, dZ)
+            ws.give(*lent)
     return _finish(out, inputs, backward)
 
 

@@ -328,6 +328,66 @@ def test_workspace_keeps_no_more_than_the_last_tape_took():
     assert held() == {(4,): 1, (6,): 1}
 
 
+def test_workspace_refuses_arrays_it_could_not_reuse():
+    """A view shares its memory with another array, and a strided array
+    is not one block: lending either could let two holders write one
+    buffer. give refuses both, and keeps none of the arrays it was given
+    with them."""
+    ws = ad.Workspace()
+    own = np.zeros((4, 6), dtype=np.float32)
+    for bad in (own[1:], own.reshape(-1), own[:, ::2],
+                np.zeros((4, 6), dtype=np.float32, order="F")):
+        with pytest.raises(UsageError):
+            ws.give(own, bad)
+    assert not ws._free
+    ws.give(own)
+    assert ws.take((4, 6), np.float32) is own
+
+
+def test_owned_first_grads_are_adopted_and_grads_unchanged(monkeypatch):
+    """A first gradient given as owned becomes the grad without a copy.
+    Where one array reaches two inputs, or one input is read twice, the
+    grads are those of copying every first gradient."""
+    t = ad.Tensor(np.zeros(3))
+    g = np.ones(3)
+    t.accumulate_grad(g, owned=True)
+    assert t.grad is g
+
+    def graphs():
+        rng = np.random.default_rng(5)
+        x, z = t64((3, 4), rng=rng), t64((3, 4), rng=rng)
+        w, a = t64((4, 2), rng=rng), t64((5, 4), rng=rng)
+        p = make_lstm_params(4, 3, rng)
+        seq = t64((2, 3, 4), rng=rng)
+        losses = [
+            weighted_sum(ad.add(x, x)),
+            weighted_sum(ad.mul(x, x)),
+            weighted_sum(ad.concat([ad.linear(x, w), ad.linear(a, w)], 0)),
+            weighted_sum(ad.add(ad.linear(x, t64((4, 4), rng=rng)),
+                                ad.add(x, z))),
+            weighted_sum(ad.concat([ad.reshape(ad.bilstm_bank(seq, [p, p]),
+                                               (6, 6)),
+                                    ad.reshape(seq, (6, 4))], 1)),
+        ]
+        return losses, [x, z, w, a, seq] + list(p)
+
+    def grads():
+        with ad.Tape() as tape:
+            losses, leaves = graphs()
+            total = losses[0]
+            for loss in losses[1:]:
+                total = ad.add(total, loss)
+        tape.backward(total)
+        return [leaf.grad for leaf in leaves]
+
+    adopted = grads()
+    copy_first = ad.Tensor.accumulate_grad
+    monkeypatch.setattr(ad.Tensor, "accumulate_grad",
+                        lambda self, g, owned=False: copy_first(self, g))
+    for got, want in zip(adopted, grads()):
+        assert np.array_equal(got, want)
+
+
 def test_backward_drops_every_intermediate_grad():
     """Once a node's backward has used its output's grad, the tape lets
     it go: no recorded output holds a grad after backward, and the

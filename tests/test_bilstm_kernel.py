@@ -350,10 +350,11 @@ def test_taped_call_holds_no_input_copy_or_tanh_c():
     assert saved <= held < saved + SLACK
 
 
-def test_pooled_taped_call_holds_no_new_gates_or_cs():
+def test_pooled_taped_call_holds_only_the_gated_product():
     """Under a tape whose workspace an earlier call's backward has filled,
-    a taped call takes its gates and cell states from the workspace: it
-    holds only the set outputs and the gated product."""
+    a taped call takes everything it keeps but does not return -- the
+    gates, the cell states, both set outputs and the stacked weights --
+    from the workspace: it holds only the gated product."""
     x, sets, sizes = mem_case()
     workspace = ad.Workspace()
     with ad.Tape(workspace=workspace) as tape:
@@ -365,9 +366,28 @@ def test_pooled_taped_call_holds_no_new_gates_or_cs():
         with tape:
             return ad.bilstm_bank(x, sets)
     _, held, _ = traced_call(call)
-    saved = sizes["outs"] + sizes["gated"]
-    assert SLACK < sizes["cs"] < sizes["gates"]
-    assert saved <= held < saved + SLACK
+    assert SLACK < sizes["outs"] and SLACK < sizes["cs"] < sizes["gates"]
+    assert sizes["gated"] <= held < sizes["gated"] + SLACK
+
+
+def test_returned_arrays_are_never_lent():
+    """What the op returns -- one set's output block, or the gated
+    product -- is never taken from the workspace: a later step of the
+    same shapes, which reuses every buffer the workspace lent, leaves each
+    earlier output as it was after its own step."""
+    workspace = ad.Workspace()
+    held = []
+    for step, n_sets in enumerate((1, 1, 2, 2)):
+        x_data, set_data, _ = make_case((3, 5, 4, 2), n_sets, seed=step)
+        x = Tensor(x_data, requires_grad=True)
+        sets = [ad.LSTMParams(*(Tensor(a, requires_grad=True) for a in p))
+                for p in set_data]
+        with ad.Tape(workspace=workspace) as tape:
+            out = ad.bilstm_bank(x, sets)
+            loss = ad.mean_axes(out, (0, 1, 2))
+        tape.backward(loss)
+        held.append((out, out.data.copy()))
+    assert all(np.array_equal(out.data, copy) for out, copy in held)
 
 
 # A wide input, so that a (D, B, S, F) input-gradient block would not
