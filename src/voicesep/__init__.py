@@ -6,7 +6,7 @@ reverse-mode autodiff engine, WAV/manifest I/O, a toy corpus generator,
 a speaker embedder, training/evaluation loops, and a CLI.
 """
 
-from .autodiff import Tape, Tensor, grad_check
+from .autodiff import Tape, Tensor
 from .checkpoint import (load_checkpoint, load_embedder, load_separator,
                          save_checkpoint, save_embedder, save_separator)
 from .data import (SAMPLE_RATE, ManifestEntry, MixtureSample, ToySpeaker,
@@ -35,7 +35,7 @@ __all__ = [
     "SAMPLE_RATE", "SeparatorModel", "Tape", "Tensor", "ToySpeaker",
     "TrainConfig", "UsageError", "VoicesepError", "aligned_si_snri",
     "build_corpus", "calibrate_threshold", "clip_global_norm", "evaluate",
-    "forward", "grad_check", "ibm_oracle", "id_loss", "init_embedder",
+    "forward", "ibm_oracle", "id_loss", "init_embedder",
     "init_params", "irm_oracle", "load_checkpoint", "load_embedder",
     "load_manifest", "load_separator", "make_mixture", "make_speakers",
     "multiscale_loss", "save_checkpoint", "save_embedder", "save_separator",

@@ -913,28 +913,43 @@ SNR_FLOOR = 1e-8  # floor of si_snr's residual energy and of its ratio
 
 
 def si_snr(target: np.ndarray, est: Tensor) -> Tensor:
-    """Scale-invariant SNR in dB (Le Roux et al. 2019) of a 1-D estimate
-    against a constant 1-D target of the same length and dtype.
+    """Scale-invariant SNR in dB (Le Roux et al. 2019) of an estimate
+    against a constant target of the same shape and dtype: a 1-D pair
+    gives a scalar, and (C, T) rows give (C,), row c scoring est[c]
+    against target[c].
 
     Both signals are mean-subtracted; the estimate is projected onto the
     target, and the ratio of projection energy to residual energy gives
     the score, so any positive rescaling of the estimate leaves it
     unchanged. The residual energy and the ratio are floored at
     SNR_FLOOR, so a perfect estimate stays finite. A zero-energy target
-    raises DegenerateTargetError.
+    raises DegenerateTargetError. Each row runs the same numpy sequence
+    as a 1-D call, so it scores and differentiates bit for bit alike.
     """
     target = np.asarray(target)
-    if target.ndim != 1 or est.data.ndim != 1:
-        raise DimensionError("si_snr: inputs must be 1-D waveforms")
-    if target.shape != est.data.shape:
-        raise DimensionError(f"si_snr: axis 0 mismatch ({target.shape[0]} "
-                             f"vs {est.data.shape[0]})")
+    if target.shape != est.data.shape or target.ndim not in (1, 2):
+        raise DimensionError(f"si_snr: target {target.shape} and estimate "
+                             f"{est.data.shape} must share one (T,) or "
+                             "(C, T) shape")
     if target.dtype != est.data.dtype:
         raise UsageError(f"si_snr: mixed dtypes {target.dtype} vs "
                          f"{est.data.dtype}; convert explicitly")
+    rows = [_si_snr_row(s, e) for s, e in zip(np.atleast_2d(target),
+                                              np.atleast_2d(est.data))]
+    out = Tensor(np.reshape([v for v, _ in rows], target.shape[:-1]))
+
+    def backward(g):
+        grads = [bwd(gi) for (_, bwd), gi in zip(rows, g.reshape(-1))]
+        est.accumulate_grad(np.reshape(grads, est.data.shape), owned=True)
+    return _finish(out, (est,), backward)
+
+
+def _si_snr_row(target: np.ndarray, est: np.ndarray):
+    """One si_snr row: its score and the map from the score's gradient
+    to the estimate row's."""
     dt = target.dtype.type
     sc = target - np.mean(target)
-    ec = est.data - np.mean(est.data)
+    ec = est - np.mean(est)
     s_energy = np.vdot(sc, sc)
     if s_energy <= 0.0:
         raise DegenerateTargetError(
@@ -946,7 +961,6 @@ def si_snr(target: np.ndarray, est: Tensor) -> Tensor:
     den = np.maximum(den0, dt(SNR_FLOOR))
     q = num / den
     ratio = np.maximum(q, dt(SNR_FLOOR))
-    out = Tensor(np.log10(ratio) * dt(10.0))
 
     def backward(g):
         # Every step keeps a fixed operation order (an energy's gradient
@@ -962,8 +976,8 @@ def si_snr(target: np.ndarray, est: Tensor) -> Tensor:
         gsp = t + t - gerr
         gsd = np.sum(gsp * sc) / s_energy
         gec = gerr + gsd * sc
-        est.accumulate_grad(gec - np.mean(gec))
-    return _finish(out, (est,), backward)
+        return gec - np.mean(gec)
+    return np.log10(ratio) * dt(10.0), backward
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +1038,3 @@ def grad_check_many(f: Callable[[], Tensor],
     max_err = records[0][4] if records else 0.0
     return GradCheckReport(max_rel_err=max_err,
                            worst=records[:_GRAD_CHECK_WORST])
-
-
-def grad_check(f: Callable[[Tensor], Tensor], point: Tensor
-               ) -> GradCheckReport:
-    """Check the gradient of a scalar tensor function at one point."""
-    return grad_check_many(lambda: f(point), [("point", point)])

@@ -18,6 +18,7 @@ resume mid-schedule with bit-identical arithmetic.
 """
 
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -98,8 +99,12 @@ def load_checkpoint(path):
         parts = line.split()
         if not parts:
             raise CheckpointError(f"{path}: empty array record")
-        name, dims = parts[0], tuple(int(d) for d in parts[1:])
-        nbytes = 4 * int(np.prod(dims, dtype=np.int64)) if dims else 4
+        name, dims = parts[0], parts[1:]
+        if not all(d.isdecimal() for d in dims):
+            raise CheckpointError(f"{path}: array {name!r} has shape "
+                                  f"{' '.join(dims)!r}, not dimensions >= 0")
+        dims = tuple(int(d) for d in dims)
+        nbytes = 4 * math.prod(dims)   # exact: no int64 wraparound
         if off + nbytes > len(blob):
             raise CheckpointError(
                 f"{path}: array {name!r} truncated at byte {off}")

@@ -347,7 +347,10 @@ class ManifestEntry:
 def load_manifest(path) -> list[ManifestEntry]:
     """Load every entry of a JSONL manifest into memory; WAV paths are
     relative to the manifest's directory, and each is read by load_wav,
-    so one at a rate other than SAMPLE_RATE raises DataError."""
+    so one at a rate other than SAMPLE_RATE raises DataError. A record
+    that is not a JSON object with a mixture path and equally long lists
+    of source paths, speakers and numeric gains, or whose sources differ
+    from the mixture in length, raises FormatError naming path:line."""
     root = os.path.dirname(os.path.abspath(path))
     entries = []
     try:
@@ -358,13 +361,19 @@ def load_manifest(path) -> list[ManifestEntry]:
     for ln, line in enumerate(lines, 1):
         if not line.strip():
             continue
+        where = f"{path}:{ln}"
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{ln}: bad manifest record: {e}") from e
+            raise FormatError(f"{where}: bad manifest record: {e}") from e
+        _check_record(where, rec)
         x = load_wav(os.path.join(root, rec["mixture"]))
         raws = [load_wav(os.path.join(root, p))
                 for p in rec["sources"]]
+        for p, s in zip(rec["sources"], raws):
+            if len(s) != len(x):
+                raise FormatError(f"{where}: source {p} has {len(s)} "
+                                  f"samples, the mixture {len(x)}")
         scaled = [g * s for g, s in zip(rec["gains"], raws)]
         entries.append(ManifestEntry(mixture=x, sources=scaled,
                                      speaker_ids=rec["speakers"],
@@ -373,3 +382,27 @@ def load_manifest(path) -> list[ManifestEntry]:
         raise DataError(f"{path}: empty manifest")
     return entries
 
+
+def _check_record(where: str, rec) -> None:
+    """FormatError unless rec has the fields load_manifest reads, of the
+    types it reads them as."""
+    if not isinstance(rec, dict):
+        raise FormatError(f"{where}: manifest record is not a JSON object")
+    missing = [k for k in ("mixture", "sources", "speakers", "gains")
+               if k not in rec]
+    if missing:
+        raise FormatError(f"{where}: manifest record lacks {missing}")
+    lists = [rec[k] for k in ("sources", "speakers", "gains")]
+    if (not isinstance(rec["mixture"], str)
+            or not all(isinstance(v, list) for v in lists)
+            or not all(isinstance(p, str) for p in rec["sources"])
+            or not all(isinstance(g, (int, float))
+                       and not isinstance(g, bool) for g in rec["gains"])):
+        raise FormatError(f"{where}: mixture must be a path, sources a list "
+                          "of paths, speakers a list, gains a list of "
+                          "numbers")
+    if not lists[0] or len({len(v) for v in lists}) != 1:
+        raise FormatError(
+            f"{where}: {len(lists[0])} sources, {len(lists[1])} speakers "
+            f"and {len(lists[2])} gains; one or more sources, with one "
+            "speaker and one gain each")

@@ -1,12 +1,14 @@
 """SI-SNR, permutation-invariant assignment, multi-scale and identity losses.
 
-All losses are differentiable in the estimates, which may be Tensors or
-numpy arrays. Targets are constants: numpy arrays, or Tensors that do not
-require grad.
+All losses are differentiable in the estimates: one (C, T) Tensor or
+numpy array per scale, a waveform per row, as the separator's decode heads
+return them. Targets are C constant waveforms: numpy arrays, or Tensors
+that do not require grad.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -34,20 +36,16 @@ def si_snr(target, estimate) -> Tensor:
     return ad.si_snr(s.data, ad.as_tensor(estimate))
 
 
-def pairwise_matrix_tensors(targets, estimates) -> list:
-    """len(targets) x len(estimates) nested list of scalar tensors; entry
-    [i][j] = si_snr(s_i, e_j). Needs no more targets than estimates."""
+def pairwise_matrix(targets, estimates) -> np.ndarray:
+    """len(targets) x len(estimates) dB matrix as plain floats, entry
+    [i, j] = si_snr(s_i, e_j), recorded on no tape. Needs no more
+    targets than estimates."""
     if len(targets) > len(estimates):
         raise InputError(
             f"pairwise matrix needs at least as many estimates as targets, "
             f"got {len(targets)} targets vs {len(estimates)} estimates")
-    return [[si_snr(s, e) for e in estimates] for s in targets]
-
-
-def pairwise_matrix(targets, estimates) -> np.ndarray:
-    """len(targets) x len(estimates) dB matrix as plain floats."""
-    m = pairwise_matrix_tensors(targets, estimates)
-    return np.array([[cell.item() for cell in row] for row in m])
+    return np.array([[si_snr(s, e).item() for e in estimates]
+                     for s in targets])
 
 
 def best_permutation(score_matrix: np.ndarray) -> tuple:
@@ -77,65 +75,65 @@ def best_permutation(score_matrix: np.ndarray) -> tuple:
     return tuple(perms[np.argmax(sums)].tolist())
 
 
-def upit(targets, estimates):
-    """Utterance-level permutation-invariant loss.
+def _check_rows(where: str, targets, estimates) -> Tensor:
+    """The estimates as a Tensor; InputError unless (C, T) with C targets."""
+    est = ad.as_tensor(estimates)
+    if est.data.ndim != 2 or est.shape[0] != len(targets):
+        raise InputError(f"{where}: estimates of shape {est.shape} for "
+                         f"{len(targets)} targets; expected (C, T) rows")
+    return est
 
-    Returns (loss tensor, perm), perm[i] the estimate matched to target
-    i. loss = -mean SI-SNR at the best permutation (best_permutation's
-    tie rule); gradients flow through the selected entries only.
+
+def _matched(targets, perm) -> np.ndarray:
+    """The targets as (C, T) rows in estimate order: row perm[i] is
+    target i."""
+    return np.stack([ad.as_tensor(targets[i]).data for i in np.argsort(perm)])
+
+
+def upit(targets, estimates):
+    """Utterance-level permutation-invariant loss of (C, T) estimate rows
+    against C targets.
+
+    Returns (loss tensor, perm), perm[i] the estimate row matched to
+    target i. The score matrix is computed off the tape; loss = -mean
+    SI-SNR at the best permutation (best_permutation's tie rule),
+    recorded as one si_snr of the estimate rows against their matched
+    targets, so gradients flow through the selected entries only.
     """
-    c = len(targets)
-    if c != len(estimates):
-        raise InputError(f"upit: channel count mismatch ({c} vs "
-                         f"{len(estimates)})")
-    cells = pairwise_matrix_tensors(targets, estimates)
-    values = np.array([[cell.item() for cell in row] for row in cells])
-    perm = best_permutation(values)
-    picked = [cells[i][perm[i]] for i in range(c)]
-    total = picked[0]
-    for cell in picked[1:]:
-        total = ad.add(total, cell)
-    mean_score = ad.scale(total, 1.0 / c)
-    loss = ad.scale(mean_score, -1.0)
-    return loss, perm
+    est = _check_rows("upit", targets, estimates)
+    perm = best_permutation(pairwise_matrix(targets, est.data))
+    scores = si_snr(_matched(targets, perm), est)
+    return ad.scale(ad.mean_axes(scores, (0,)), -1.0), perm
 
 
 def multiscale_loss(targets, output_groups):
-    """Mean of per-group uPIT losses scaled by 1/b, b = 2 * group count.
+    """Mean of per-scale uPIT losses scaled by 1/b, b = 2 * scale count.
 
-    Each group picks its own optimal permutation. Returns
-    (loss tensor, list of per-group perm tuples).
+    output_groups holds one (C, T) estimate per scale, and each picks its
+    own optimal permutation. Returns (loss tensor, list of per-scale perm
+    tuples).
     """
     if not output_groups:
         raise InputError("multiscale_loss: no output groups")
-    n_groups = len(output_groups)
-    b = 2 * n_groups
-    total = None
-    perms = []
-    for group in output_groups:
-        if len(group) != len(targets):
-            raise InputError(
-                f"multiscale_loss: group has {len(group)} channels, "
-                f"expected {len(targets)}")
-        loss, perm = upit(targets, group)
-        perms.append(perm)
-        total = loss if total is None else ad.add(total, loss)
-    return ad.scale(total, 1.0 / b), perms
+    scored = [upit(targets, group) for group in output_groups]
+    total = functools.reduce(ad.add, [loss for loss, _ in scored])
+    return (ad.scale(total, 1.0 / (2 * len(scored))),
+            [perm for _, perm in scored])
 
 
 def id_loss(targets, estimates, perm: tuple, embedder):
     """Speaker-identity loss: MSE between embeddings of matched segments.
 
     Both signals are cut into non-overlapping windows of the embedder's
-    CLIP_LEN samples from the start (remainder dropped); channel i of the
-    targets is compared against estimate perm[i]. All C * n_seg estimate
-    windows are embedded as one batch, and so are the target windows,
-    whose embeddings are constants. The embedder stays frozen; gradients
-    reach the estimates through the differentiable spectrogram features.
+    CLIP_LEN samples from the start (remainder dropped); estimate row
+    perm[i] is compared against target i. All C * n_seg estimate windows
+    are embedded as one batch in row order, and so are the target
+    windows, stacked in the same order, whose embeddings are constants.
+    The embedder stays frozen; gradients reach the estimates through the
+    differentiable spectrogram features.
     """
+    est = _check_rows("id_loss", targets, estimates)
     c = len(targets)
-    if c != len(estimates):
-        raise InputError("id_loss: channel count mismatch")
     perm = tuple(perm)
     if sorted(perm) != list(range(c)):
         raise InputError(f"id_loss: perm {perm} is not a bijection")
@@ -146,11 +144,8 @@ def id_loss(targets, estimates, perm: tuple, embedder):
         warnings.warn("id_loss: utterance shorter than one segment; loss 0")
         return Tensor(np.zeros((), dtype=np.float32))
     used = n_seg * seg
-    ref_clips = np.concatenate([
-        ad.as_tensor(t).data[:used].reshape(n_seg, seg) for t in targets])
-    est_clips = ad.concat([
-        ad.reshape(ad.slice_axis(ad.as_tensor(estimates[j]), 0, 0, used),
-                   (n_seg, seg)) for j in perm], axis=0)
+    ref_clips = _matched(targets, perm)[:, :used].reshape(-1, seg)
+    est_clips = ad.reshape(ad.slice_axis(est, 1, 0, used), (c * n_seg, seg))
     g_ref = embedder.embed_tensor(Tensor(ref_clips)).detach()
     diff = ad.sub(embedder.embed_tensor(est_clips), g_ref)
     return ad.mean_axes(ad.mul(diff, diff), (0, 1))

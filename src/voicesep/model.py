@@ -6,8 +6,8 @@ the "-gating" ablation keeps one LSTM and no product). It concatenates
 the block input (the skip path) and projects back to the feature width.
 Odd blocks recur along the chunk index axis (long-term, length R), even
 blocks along the intra-chunk axis (short-term, length K). After every
-even block, a shared PReLU + 1x1 decoder produces one group of C
-candidate waveforms.
+even block, a shared PReLU + 1x1 decoder produces one (C, T) tensor of
+candidate waveforms, one row per output channel.
 """
 
 from __future__ import annotations
@@ -162,32 +162,27 @@ def mulcat_block(model: SeparatorModel, v: Tensor, index: int) -> Tensor:
     return ad.transpose(proj, (1, 0, 2)) if along_r else proj
 
 
-def decode_head(model: SeparatorModel, v: Tensor, t_latent: int) -> list:
+def decode_head(model: SeparatorModel, v: Tensor, t_latent: int) -> Tensor:
     """Shared PReLU + 1x1 decoder, overlap-add of the chunks back to T'
     latent frames, then the wave decoder: each frame becomes L samples,
     overlap-added at hop L/2.
 
-    Returns C waveform tensors of length (T'+1)*L/2. The same PReLU slope
-    and decoder weights serve every scale.
+    Returns one (C, (T'+1)*L/2) tensor, a waveform per row. The same
+    PReLU slope and decoder weights serve every scale.
     """
     cfg = model.config
-    n, L = cfg.n_filters, cfg.kernel_len
+    n, L, c = cfg.n_filters, cfg.kernel_len, cfg.num_speakers
     u = ad.prelu(v, model.params["prelu.slope"])
     y = ad.linear(u, model.params["decoder.w"], model.params["decoder.b"])
-    channels = [ad.slice_axis(y, 2, i * n, (i + 1) * n)
-                for i in range(cfg.num_speakers)]
+    lat = ad.reshape(dsp.overlap_add(y, t_latent), (t_latent, c, n))
     w = ad.reshape(model.params["wavedec.kernel"], (n, L))
-    outs = []
-    for ch in channels:
-        lat = dsp.overlap_add(ch, t_latent)              # (T', N)
-        frames = ad.linear(lat, w)                       # (T', L)
-        outs.append(ad.ola_rows(frames, (t_latent + 1) * L // 2))
-    return outs
+    frames = ad.transpose(ad.linear(lat, w), (0, 2, 1))  # (T', L, C)
+    return ad.transpose(ad.ola_rows(frames, (t_latent + 1) * L // 2), (1, 0))
 
 
 def forward(model: SeparatorModel, x, multiloss: bool = True) -> list:
-    """Full separator pass: returns b/2 groups of C waveform tensors
-    (or only the final group when multiloss=False)."""
+    """Full separator pass: returns b/2 (C, T) waveform tensors, one per
+    scale (or only the final one when multiloss=False)."""
     z = encode(model, x)
     t_latent = z.shape[0]
     k = model.config.chunk_len or dsp.default_chunk_len(t_latent)
@@ -216,5 +211,5 @@ def separate(model: SeparatorModel, x: np.ndarray) -> list[np.ndarray]:
     pad = -n % (model.config.kernel_len // 2)
     if pad:
         x = np.pad(x, (0, pad))
-    groups = forward(model, Tensor(x), multiloss=False)
-    return [ch.data[:n].copy() for ch in groups[-1]]
+    est = forward(model, Tensor(x), multiloss=False)[-1]
+    return [ch[:n].copy() for ch in est.data]

@@ -238,6 +238,39 @@ def test_si_snr_grad():
     target = rng.standard_normal(64)
     est = ad.Tensor(0.7 * target + rng.standard_normal(64))
     check(lambda: ad.si_snr(target, est), [("est", est)])
+    rows = rng.standard_normal((3, 32))
+    est = ad.Tensor(0.7 * rows + rng.standard_normal((3, 32)))
+    check(lambda: weighted_sum(ad.si_snr(rows, est)), [("est", est)])
+
+
+def test_si_snr_rows_match_one_dimensional_calls():
+    """float32 (C, T) rows score and differentiate bit for bit like C
+    separate 1-D calls, each given the same output gradient."""
+    rng = np.random.default_rng(5)
+    target = rng.standard_normal((3, 257)).astype(np.float32)
+    est = ad.Tensor(0.6 * target + rng.standard_normal((3, 257))
+                    .astype(np.float32), requires_grad=True)
+    w = rng.standard_normal(3).astype(np.float32)
+    with ad.Tape() as tape:
+        rows = ad.si_snr(target, est)
+        tape.backward(ad.linear(ad.reshape(rows, (1, 3)),
+                                ad.Tensor(w.reshape(3, 1))))
+    assert rows.shape == (3,) and rows.dtype == np.float32
+    for c in range(3):
+        one = ad.Tensor(est.data[c].copy(), requires_grad=True)
+        with ad.Tape() as tape:
+            val = ad.si_snr(target[c].copy(), one)
+            tape.backward(ad.scale(val, w[c]))
+        assert rows.data[c].tobytes() == val.data.tobytes()
+        assert est.grad[c].tobytes() == one.grad.tobytes()
+
+
+@pytest.mark.parametrize("target,est", [
+    ((2, 8), (2, 9)), ((2, 8), (3, 8)), ((8,), (1, 8)),
+    ((2, 2, 8), (2, 2, 8))])
+def test_si_snr_rejects_other_shapes(target, est):
+    with pytest.raises(DimensionError):
+        ad.si_snr(np.ones(target), t64(est))
 
 
 def test_si_snr_rejects_mixed_dtypes():

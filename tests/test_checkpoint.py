@@ -138,6 +138,23 @@ def test_unexpected_parameter_name(tmp_path):
         ckpt.load_separator(p)
 
 
+@pytest.mark.parametrize("dims,match", [
+    ("2 x", "'w' has shape '2 x'"), ("2 3.0", "'w' has shape '2 3.0'"),
+    ("-2 -3", "'w' has shape '-2 -3'"),
+    ("4294967296 4294967296", "'w' truncated")])
+def test_malformed_array_dimensions_rejected(tmp_path, dims, match):
+    """An array record whose dimensions are not integers >= 0 raises
+    CheckpointError, naming the array, and so does one whose size
+    overflows a 64-bit count: 2**64 elements are not 0."""
+    p = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(p, "separator", {}, 0, 0,
+                         {"w": np.zeros((2, 3), np.float32)})
+    p.write_bytes(p.read_bytes().replace(b"\nw 2 3\n",
+                                         f"\nw {dims}\n".encode()))
+    with pytest.raises(CheckpointError, match=match):
+        ckpt.load_checkpoint(p)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_array_rejected(tmp_path, bad):
     model = init_params(SMALL, seed=0)

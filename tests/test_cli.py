@@ -161,6 +161,24 @@ def test_eval_other_sample_rate_exits_3(tmp_path, corpus, trained):
     assert not (out / "report.txt").exists()
 
 
+def test_eval_malformed_manifest_exits_3(tmp_path, corpus, trained):
+    """A manifest record without gains, whose WAVs all load, is refused
+    with FormatError's exit code, not a traceback, and no report is
+    written."""
+    rec = json.loads(open(os.path.join(corpus, "test.jsonl")).readline())
+    rec["mixture"] = os.path.join(corpus, rec["mixture"])
+    rec["sources"] = [os.path.join(corpus, p) for p in rec["sources"]]
+    del rec["gains"]
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps(rec) + "\n")
+    out = tmp_path / "ev"
+    code = main(["eval", "--out", str(out), "--checkpoint",
+                 os.path.join(trained, "best.ckpt"), "--manifest",
+                 str(manifest)])
+    assert code == errors.FormatError.exit_code == 3
+    assert not (out / "report.txt").exists()
+
+
 def save_at_rate(path, kind, model, rate):
     """`model` saved with a header config that names `rate` Hz, as files
     written while the rate was a config key do."""

@@ -175,6 +175,39 @@ def test_manifest_rejects_other_sample_rate(tmp_path, wide):
         dataio.load_manifest(manifest)
 
 
+GOOD_RECORD = {"mixture": "mix.wav", "sources": ["s0.wav", "s1.wav"],
+               "gains": [1.0, 0.5], "speakers": ["a", "b"]}
+
+
+@pytest.mark.parametrize("record,match", [
+    ([GOOD_RECORD], "not a JSON object"),
+    ("mix.wav", "not a JSON object"),
+    *[({k: v for k, v in GOOD_RECORD.items() if k != key}, key)
+      for key in ("mixture", "sources", "speakers", "gains")],
+    ({**GOOD_RECORD, "gains": [1.0]}, "2 sources, 2 speakers and 1 gains"),
+    ({**GOOD_RECORD, "speakers": ["a", "b", "c"]}, "3 speakers"),
+    ({**GOOD_RECORD, "sources": [], "speakers": [], "gains": []},
+     "0 sources"),
+    ({**GOOD_RECORD, "sources": "s0.wav"}, "list of paths"),
+    ({**GOOD_RECORD, "gains": [1.0, "x"]}, "numbers"),
+    ({**GOOD_RECORD, "sources": ["s0.wav", "short.wav"]},
+     "short.wav has 300 samples, the mixture 400"),
+], ids=["list", "string", "no-mixture", "no-sources", "no-speakers",
+        "no-gains", "one-gain", "three-speakers", "empty", "sources-not-list",
+        "gain-not-number", "short-source"])
+def test_manifest_refuses_a_malformed_record(tmp_path, record, match):
+    """Each malformed record raises FormatError naming its line, after a
+    good first record; a 2-source record with one gain is one of them."""
+    for name, n in (("mix.wav", 400), ("s0.wav", 400), ("s1.wav", 400),
+                    ("short.wav", 300)):
+        dataio.wav_write(tmp_path / name, np.zeros(n))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps(GOOD_RECORD) + "\n"
+                        + json.dumps(record) + "\n")
+    with pytest.raises(FormatError, match=f"m.jsonl:2: .*{match}"):
+        dataio.load_manifest(manifest)
+
+
 def test_corpus_rebuild_is_byte_identical(corpus, tmp_path):
     root, manifests = corpus
     again = tmp_path / "again"

@@ -96,17 +96,17 @@ def test_pairwise_matrix_identity_diagonal_dominates():
 def test_upit_picks_swap():
     rng = np.random.default_rng(5)
     s = [rng.standard_normal(150) for _ in range(2)]
-    _, perm = losses.upit(s, [s[1], s[0]])
+    _, perm = losses.upit(s, np.stack([s[1], s[0]]))
     assert perm == (1, 0)
 
 
 def test_upit_invariant_to_estimate_shuffle():
     rng = np.random.default_rng(6)
     s = [rng.standard_normal(120) for _ in range(3)]
-    est = [si + 0.3 * rng.standard_normal(120) for si in s]
+    est = np.stack([si + 0.3 * rng.standard_normal(120) for si in s])
     base = losses.upit(s, est)[0].item()
     for perm in permutations(range(3)):
-        val = losses.upit(s, [est[p] for p in perm])[0].item()
+        val = losses.upit(s, est[list(perm)])[0].item()
         assert abs(val - base) <= 1e-9
 
 
@@ -116,7 +116,7 @@ def test_upit_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(20):
         s = [rng.standard_normal(100) for _ in range(4)]
-        est = [rng.standard_normal(100) for _ in range(4)]
+        est = rng.standard_normal((4, 100))
         best, best_val = brute_force(losses.pairwise_matrix(s, est))
         loss, perm = losses.upit(s, est)
         assert perm == best
@@ -127,12 +127,34 @@ def test_upit_recovers_planted_shuffle_at_c9():
     rng = np.random.default_rng(14)
     s = [rng.standard_normal(200) for _ in range(9)]
     shuffle = tuple(int(j) for j in rng.permutation(9))
-    est = [None] * 9
+    est = np.empty((9, 200))
     for i, j in enumerate(shuffle):
         est[j] = s[i] + 0.1 * rng.standard_normal(200)
     loss, perm = losses.upit(s, est)
     assert perm == shuffle
     assert loss.item() < -10.0
+
+
+def test_upit_scores_a_planted_permutation_at_c3():
+    """Estimates planted in a non-identity order: upit returns that
+    order, its loss is minus the mean of the matched cells of the
+    pairwise matrix, and the tape holds one si_snr over the rows, its
+    mean and the sign flip, nothing for the other cells."""
+    rng = np.random.default_rng(15)
+    s = [rng.standard_normal(300).astype(np.float32) for _ in range(3)]
+    planted = (2, 0, 1)
+    est = np.empty((3, 300), np.float32)
+    for i, j in enumerate(planted):
+        est[j] = s[i] + 0.3 * rng.standard_normal(300)
+    est = ad.Tensor(est, requires_grad=True)
+    with ad.Tape() as tape:
+        loss, perm = losses.upit(s, est)
+    assert perm == planted
+    mat = losses.pairwise_matrix(s, est.data)
+    cells = [mat[i, j] for i, j in enumerate(planted)]
+    assert loss.item() == pytest.approx(-np.mean(cells), rel=1e-6, abs=0)
+    assert [node.backward.__qualname__.split(".")[0]
+            for node in tape._nodes] == ["si_snr", "mean_axes", "scale"]
 
 
 def brute_force(mat):
@@ -205,7 +227,7 @@ def test_best_permutation_refuses_ten_columns_before_searching(monkeypatch):
 def test_multiscale_loss_scales_by_group_count():
     rng = np.random.default_rng(8)
     s = [rng.standard_normal(100) for _ in range(2)]
-    est = [si + 0.5 * rng.standard_normal(100) for si in s]
+    est = np.stack([si + 0.5 * rng.standard_normal(100) for si in s])
     one, _ = losses.multiscale_loss(s, [est])
     two, perms = losses.multiscale_loss(s, [est, est])
     # b = 2 * groups; two identical groups give the same per-group mean
@@ -217,15 +239,17 @@ def test_multiscale_loss_scales_by_group_count():
 def test_multiscale_loss_independent_permutations():
     rng = np.random.default_rng(9)
     s = [rng.standard_normal(100) for _ in range(2)]
-    est = [si + 0.2 * rng.standard_normal(100) for si in s]
-    _, perms = losses.multiscale_loss(s, [[est[1], est[0]], est])
+    est = np.stack([si + 0.2 * rng.standard_normal(100) for si in s])
+    _, perms = losses.multiscale_loss(s, [est[::-1], est])
     assert perms == [(1, 0), (0, 1)]
 
 
 def test_multiscale_loss_validates_channels():
     s = [np.ones(10), np.ones(10) * 2]
     with pytest.raises(InputError):
-        losses.multiscale_loss(s, [[np.ones(10)]])
+        losses.multiscale_loss(s, [np.ones((1, 10))])
+    with pytest.raises(InputError):
+        losses.multiscale_loss(s, [np.ones(10)])
 
 
 @pytest.fixture(scope="module")
@@ -237,8 +261,7 @@ def test_id_loss_zero_for_identical(embedder):
     rng = np.random.default_rng(10)
     s = [rng.standard_normal(4000).astype(np.float32) for _ in range(2)]
     perm = (0, 1)
-    val = losses.id_loss(s, [ad.Tensor(si.copy()) for si in s], perm,
-                         embedder)
+    val = losses.id_loss(s, ad.Tensor(np.stack(s)), perm, embedder)
     assert val.item() == pytest.approx(0.0, abs=1e-10)
 
 
@@ -246,31 +269,28 @@ def test_id_loss_positive_and_differentiable(embedder):
     rng = np.random.default_rng(11)
     s = [rng.standard_normal(4000).astype(np.float32) * 0.3
          for _ in range(2)]
-    ests = [ad.Tensor(si + 0.2 * rng.standard_normal(4000).astype(
-        np.float32)) for si in s]
-    for e in ests:
-        e.requires_grad = True
+    ests = ad.Tensor(np.stack([si + 0.2 * rng.standard_normal(4000).astype(
+        np.float32) for si in s]), requires_grad=True)
     perm = (0, 1)
     with ad.Tape() as tape:
         val = losses.id_loss(s, ests, perm, embedder)
         assert val.item() > 0
         tape.backward(val)
-    assert ests[0].grad is not None and np.any(ests[0].grad != 0)
+    assert ests.grad is not None and np.all(np.any(ests.grad != 0, axis=1))
 
 
 def test_id_loss_short_clip_warns_and_is_zero(embedder):
     s = [np.ones(1000, dtype=np.float32) for _ in range(2)]
     perm = (0, 1)
     with pytest.warns(UserWarning):
-        val = losses.id_loss(s, [ad.Tensor(si.copy()) for si in s], perm,
-                             embedder)
+        val = losses.id_loss(s, ad.Tensor(np.stack(s)), perm, embedder)
     assert val.item() == 0.0
 
 
 def test_id_loss_respects_permutation(embedder):
     rng = np.random.default_rng(12)
     s = [rng.standard_normal(4000).astype(np.float32) for _ in range(2)]
-    swapped = [ad.Tensor(s[1].copy()), ad.Tensor(s[0].copy())]
+    swapped = ad.Tensor(np.stack([s[1], s[0]]))
     perm = (1, 0)
     val = losses.id_loss(s, swapped, perm, embedder)
     assert val.item() == pytest.approx(0.0, abs=1e-10)
@@ -290,8 +310,8 @@ def test_id_loss_segments_follow_the_embedder_clip(embedder, monkeypatch):
     rng = np.random.default_rng(13)
     n = 2 * CLIP_LEN + 123
     s = [rng.standard_normal(n).astype(np.float32) for _ in range(2)]
-    ests = [ad.Tensor(si + 0.2 * rng.standard_normal(n).astype(
-        np.float32)) for si in s]
+    ests = ad.Tensor(np.stack([si + 0.2 * rng.standard_normal(n).astype(
+        np.float32) for si in s]))
     val = losses.id_loss(s, ests, (0, 1), embedder)
     assert shapes == [(4, CLIP_LEN)] * 2
     assert np.isfinite(val.item()) and val.item() > 0
@@ -301,7 +321,7 @@ def test_id_loss_rejects_a_perm_that_is_not_a_bijection(embedder):
     s = [np.ones(4000, dtype=np.float32) for _ in range(2)]
     for perm in [(0, 0), (0,), (0, 2)]:
         with pytest.raises(InputError, match="bijection"):
-            losses.id_loss(s, [ad.Tensor(si) for si in s], perm, embedder)
+            losses.id_loss(s, ad.Tensor(np.stack(s)), perm, embedder)
 
 
 def per_clip_id_loss(targets, estimates, perm, embedder):
@@ -311,7 +331,8 @@ def per_clip_id_loss(targets, estimates, perm, embedder):
     n_seg = len(targets[0]) // seg
     total = None
     for i, j in enumerate(perm):
-        s, e = ad.as_tensor(targets[i]), ad.as_tensor(estimates[j])
+        s = ad.as_tensor(targets[i])
+        e = ad.reshape(ad.slice_axis(estimates, 0, j, j + 1), (-1,))
         for k in range(n_seg):
             lo, hi = k * seg, (k + 1) * seg
             g_ref = embedder.embed_tensor(
@@ -340,14 +361,13 @@ def test_id_loss_batch_matches_per_clip_loop(dtype, rel):
     noisy = [si + (0.3 * rng.standard_normal(n)).astype(dtype) for si in s]
     values, grads = [], []
     for fn in (losses.id_loss, per_clip_id_loss):
-        ests = [ad.Tensor(noisy[1], requires_grad=True),
-                ad.Tensor(noisy[0], requires_grad=True)]
+        ests = ad.Tensor(np.stack([noisy[1], noisy[0]]), requires_grad=True)
         with ad.Tape() as tape:
             val = fn(s, ests, (1, 0), emb)
             tape.backward(val)
         assert val.dtype == dtype
         values.append(val.item())
-        grads.append([e.grad for e in ests])
+        grads.append(ests.grad)
     assert values[0] > 0
     assert values[0] == pytest.approx(values[1], rel=rel, abs=0.0)
     for g_batch, g_loop in zip(*grads):

@@ -65,9 +65,7 @@ def test_shape_contract(c, t):
                                   .standard_normal(t).astype(np.float32)))
     assert len(groups) == SMALL["num_blocks"] // 2
     for group in groups:
-        assert len(group) == c
-        for ch in group:
-            assert ch.data.shape == (t,)
+        assert group.data.shape == (c, t)
 
 
 def test_multiloss_false_only_final_group():
@@ -76,8 +74,7 @@ def test_multiloss_false_only_final_group():
     all_groups = forward(m, ad.Tensor(x.copy()), multiloss=True)
     final_only = forward(m, ad.Tensor(x.copy()), multiloss=False)
     assert len(final_only) == 1
-    for a, b in zip(all_groups[-1], final_only[0]):
-        np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(all_groups[-1].data, final_only[0].data)
 
 
 def test_separate_matches_final_group():
@@ -85,8 +82,7 @@ def test_separate_matches_final_group():
     x = np.random.default_rng(2).standard_normal(800).astype(np.float32)
     outs = separate(m, x)
     groups = forward(m, ad.Tensor(x.astype(np.float32)), multiloss=False)
-    for a, b in zip(outs, groups[0]):
-        np.testing.assert_array_equal(a, b.data)
+    np.testing.assert_array_equal(np.stack(outs), groups[0].data)
 
 
 def test_separate_keeps_any_length():
@@ -215,7 +211,7 @@ def test_channel_order_is_arbitrary_convention():
     m = small_model(5)
     outs = separate(m, mix)
     _, perm = losses.upit([si.astype(np.float32) for si in s],
-                          [o for o in outs])
+                          np.stack(outs))
     assert sorted(perm) == [0, 1]  # whichever order appeared
 
 
@@ -267,21 +263,21 @@ def test_decode_head_is_the_transposed_convolution(n, rtol):
     v = ad.Tensor(rng.standard_normal((dsp.chunk_count(t_latent, k), k, n))
                   .astype(np.float32))
     outs = decode_head(m, v, t_latent)
+    assert outs.data.shape == (3, 4000)
     # the head up to the latent, as decode_head computes it
     u = ad.prelu(v, m.params["prelu.slope"])
     y = ad.linear(u, m.params["decoder.w"], m.params["decoder.b"])
     kernel = m.params["wavedec.kernel"].data
-    channels = [ad.slice_axis(y, 2, i * n, (i + 1) * n) for i in range(3)]
-    for out, ch in zip(outs, channels, strict=True):
-        lat = dsp.overlap_add(ch, t_latent).data           # (T', N)
-        want = reference_conv1d_transpose(np.ascontiguousarray(lat.T),
+    lats = dsp.overlap_add(y, t_latent).data.reshape(t_latent, 3, n)
+    for i, out in enumerate(outs.data):
+        want = reference_conv1d_transpose(np.ascontiguousarray(lats[:, i].T),
                                           kernel, 4)[0]
-        assert out.data.shape == want.shape == (4000,)
+        assert out.shape == want.shape == (4000,)
         if rtol:
-            np.testing.assert_allclose(out.data, want, rtol=rtol,
+            np.testing.assert_allclose(out, want, rtol=rtol,
                                        atol=rtol * np.abs(want).max())
         else:
-            assert np.array_equal(out.data, want)
+            assert np.array_equal(out, want)
 
 
 def test_encode_decode_head_kernel_gradients():
@@ -292,13 +288,12 @@ def test_encode_decode_head_kernel_gradients():
         p.data = p.data.astype(np.float64)
     rng = np.random.default_rng(10)
     x = ad.Tensor(rng.standard_normal(96))
-    w = [ad.Tensor(rng.standard_normal((96, 1))) for _ in range(2)]
+    w = ad.Tensor(rng.standard_normal((2 * 96, 1)))
 
     def f():
         z = encode(m, x)
         outs = decode_head(m, dsp.chunk(z, 6), z.shape[0])
-        return ad.add(ad.linear(ad.reshape(outs[0], (1, -1)), w[0]),
-                      ad.linear(ad.reshape(outs[1], (1, -1)), w[1]))
+        return ad.linear(ad.reshape(outs, (1, -1)), w)
     rep = ad.grad_check_many(
         f, [("encoder.kernel", m.params["encoder.kernel"]),
             ("wavedec.kernel", m.params["wavedec.kernel"])])

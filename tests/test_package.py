@@ -111,8 +111,8 @@ def definitions(tree, module):
 # Public entry points that nothing in the package or the benchmark
 # harness reaches, each with the reason it stays.
 UNREACHED_ENTRY_POINTS = {
-    "autodiff.grad_check": "the float64 gradient check that verifies "
-                           "every op's backward",
+    "autodiff.grad_check_many": "the float64 gradient check that "
+                                "verifies every op's backward",
     "evalkit.ibm_oracle": "the paper's ideal binary mask baseline",
     "evalkit.irm_oracle": "the paper's ideal ratio mask baseline",
 }

@@ -138,6 +138,28 @@ def test_crop_objective_gradient_matches_central_differences(monkeypatch,
         assert abs((up - down) / (2 * eps) - analytic) <= tol, name
 
 
+def test_paper_shaped_step_records_one_si_snr_per_scale():
+    """A 1 s crop through the paper's shape (b = 6 blocks, so three
+    scales, C = 2, with the identity loss) records at most 102 tape
+    nodes, one si_snr of them per scale: the decode heads carry their
+    channels as one (C, T) tensor, and uPIT scores the permutations off
+    the tape. A small N and H leave the node count as at N = H = 128."""
+    model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=6,
+                                    num_speakers=2), seed=0)
+    model.set_requires_grad(True)
+    embedder = init_embedder(EmbedderConfig(n_classes=4), seed=3)
+    embedder.set_requires_grad(False)
+    entry = tiny_entries(n=1, duration=1.0)[0]
+    with ad.Tape() as tape:
+        trainer.crop_loss(model, embedder, entry.mixture.astype(np.float32),
+                          [s.astype(np.float32) for s in entry.sources],
+                          small_cfg(idloss=True))
+    owners = [node.backward.__qualname__.split(".")[0]
+              for node in tape._nodes]
+    assert len(owners) <= 102
+    assert owners.count("si_snr") == 3
+
+
 def step_grads(model, entry, workspace=None):
     """The model's gradients from one crop's objective on a tape of its
     own, with `workspace` if given."""
