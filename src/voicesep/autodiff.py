@@ -498,7 +498,10 @@ def ola_rows(c: Tensor, out_len: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Affine map over the last axis: (..., Fin) @ (Fin, Fout) + b."""
+    """Affine map over the last axis: (..., Fin) @ (Fin, Fout) + b. Rows
+    split across calls, or merged into one, keep their bits only while
+    every GEMM stays on one side of OpenBLAS's small-matrix switch
+    (M*N*K = 10^6 in OpenBLAS 0.3.31), whose kernels sum in other orders."""
     fin, fout = w.data.shape
     if x.data.shape[-1] != fin:
         raise DimensionError(
@@ -654,26 +657,26 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     that the whole call reuses: a (block*B, F) @ (F, sets*4H) product
     over the time-major input rows [t0, t0+block) for the forward
     directions, and one over the mirrored rows [S-t0-block, S-t0) for
-    the reverse ones, which read input row S-1-t at step t. Per-step
-    buffers are time-major, (S, D, B, .), so step t is a contiguous
-    slice, and the gate math runs in place. No hidden-state staging
-    buffer: each step computes h into one contiguous (D, B, H) buffer,
-    which the next step's recurrence reads, and copies it straight into
-    the set outputs, the forward directions at time t and the reverse
-    ones at time S-1-t.
+    the reverse ones, which read input row S-1-t at step t. Each step's
+    gate math runs in place in one contiguous (D, B, 4H) buffer, and its
+    h goes into one contiguous (D, B, H) buffer, which the next step's
+    recurrence reads. No hidden-state staging and no per-set outputs:
+    each step writes h, or with two sets the product of the sets' h,
+    straight into the output, the forward directions at time t and the
+    reverse ones at time S-1-t.
 
     Without a recording tape (or when nothing requires grad) the loop
-    keeps only h, c and the outputs it fills. Under a tape it also saves
-    the activated gates (S, D, B, 4H) and cell states (S, D, B, H) for
-    backward, which recomputes tanh(c) from them and re-reads x and the
-    set outputs for the weight gradients.
+    keeps only h, c and the output it fills. Under a tape it also keeps
+    the activated gates, copied each step into one (D, B, S, 4H) buffer.
+    Backward rebuilds c and h = o * tanh(c) from them bit for bit, with
+    the forward's ops in its order, and writes each step's gate grads
+    over that step's gates, so that buffer ends as dZ.
 
     Under a tape with a workspace, every array the op keeps but does not
     return is taken from it and given back when backward ends: the
-    stacked weights, the gates and cell states, two sets' outputs, and
-    backward's grads gst (S, D, B, H) and dZ (D, B, S, 4H). Each is fully
-    written before it is read. What is returned stays fresh, since a
-    later op may save it: the gated product, or one set's output block.
+    stacked weights, the gates, and backward's rebuilt c and h and grads
+    gst (S, D, B, H). Each is fully written before it is read. What is
+    returned stays fresh, since a later op may save it.
     """
     if len(param_sets) not in (1, 2):
         raise ConfigurationError("bilstm_bank: expected 1 or 2 parameter "
@@ -725,18 +728,12 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     pbuf = np.empty((2, nb * B, n_sets * G), dtype=dt)
     proj = pbuf.reshape(2, nb, B, n_sets, G)
 
-    # the set outputs, filled step by step: set s is the contiguous
-    # (B, S, 2H) block sets_out[s], forward hidden states in its first half
-    # and reverse ones, in input time order, in its second. One set's
-    # block is the returned tensor; two sets' never leave the op.
-    sets_out_shape = (n_sets, B, S, 2 * H)
-    sets_out = (scratch(sets_out_shape) if n_sets == 2
-                else np.empty(sets_out_shape, dtype=dt))
-    if keep:
-        gates = scratch((S, D, B, G))
-        cs = scratch((S, D, B, H))
-    else:
-        z = np.empty((D, B, G), dtype=dt)
+    # the output, filled step by step: forward hidden states in its first
+    # half and reverse ones, in input time order, in its second; with two
+    # sets, each is the product of the two sets' hidden states
+    y = np.empty((B, S, 2 * H), dtype=dt)
+    gates = scratch((D, B, S, G)) if keep else None
+    z = np.empty((D, B, G), dtype=dt)
     h = np.zeros((D, B, H), dtype=dt)
     h_sets = h.reshape(n_sets, 2, B, H)
     c = np.zeros((D, B, H), dtype=dt)
@@ -752,33 +749,41 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             np.matmul(xt[(S - t0 - nb) * B:(S - t0) * B], wp[1],
                       out=pbuf[1])
             pbuf += bp[:, None]
-        gt = gates[t] if keep else z
-        np.matmul(h, whs, out=gt)
-        gt[0::2] += proj[0, t - t0].transpose(1, 0, 2)
-        gt[1::2] += proj[1, t0 + nb - 1 - t].transpose(1, 0, 2)
+        np.matmul(h, whs, out=z)
+        z[0::2] += proj[0, t - t0].transpose(1, 0, 2)
+        z[1::2] += proj[1, t0 + nb - 1 - t].transpose(1, 0, 2)
         # sigmoid(v) = 0.5*tanh(v/2)+0.5 on the three sigmoid gates, so
         # one tanh call activates all four
-        sig = gt[..., :H3]
+        sig = z[..., :H3]
         sig *= 0.5
-        np.tanh(gt, out=gt)
+        np.tanh(z, out=z)
         sig *= 0.5
         sig += 0.5
-        cn = cs[t] if keep else c
-        np.multiply(gt[..., H:2 * H], c, out=cn)
-        np.multiply(gt[..., :H], gt[..., H3:], out=tmp)
-        cn += tmp
-        c = cn
+        np.multiply(z[..., H:2 * H], c, out=c)
+        np.multiply(z[..., :H], z[..., H3:], out=tmp)
+        c += tmp
         np.tanh(c, out=tmp)
         # the next step's matmul reads this contiguous h, not a strided
         # view of the outputs: its sums could then differ in the last bits
-        np.multiply(gt[..., 2 * H:H3], tmp, out=h)
-        sets_out[:, :, t, :H] = h_sets[:, 0]
-        sets_out[:, :, S - 1 - t, H:] = h_sets[:, 1]
-    del xt, pbuf, proj  # freed before the gated product is allocated
-    ods = list(sets_out)
-    out = Tensor(ods[0] if n_sets == 1 else ods[0] * ods[1])
+        np.multiply(z[..., 2 * H:H3], tmp, out=h)
+        np.multiply.reduce(h_sets[:, 0], axis=0, out=y[:, t, :H])
+        np.multiply.reduce(h_sets[:, 1], axis=0, out=y[:, S - 1 - t, H:])
+        if keep:
+            gates[:, :, t] = z
+    out = Tensor(y)
 
     def backward(g):
+        # rebuild c and h as the forward made them: f*c, then i*g, then +=
+        cs = scratch((S, D, B, H))
+        tmp = np.empty((D, B, H), dtype=dt)
+        c = np.zeros((D, B, H), dtype=dt)
+        for t in range(S):
+            np.multiply(gates[:, :, t, H:2 * H], c, out=cs[t])
+            np.multiply(gates[:, :, t, :H], gates[:, :, t, H3:], out=tmp)
+            cs[t] += tmp
+            c = cs[t]
+        hs = np.tanh(cs, out=scratch((S, D, B, H)))
+        hs *= gates[..., 2 * H:H3].transpose(2, 0, 1, 3)
         # the grads of the set outputs, time-major, the reverse directions
         # in step order: through the product, as mul's, straight into gst
         gst = scratch((S, D, B, H))
@@ -789,22 +794,18 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             gst[:, 1] = rev_g
         else:
             for s in range(2):
-                other = ods[1 - s].transpose(1, 0, 2)
-                np.multiply(fwd_g, other[..., :H], out=gst[:, 2 * s])
-                np.multiply(rev_g, other[::-1, :, H:], out=gst[:, 2 * s + 1])
-        # dZ stays (D, B, S, 4H): the weight-gradient products below then
-        # reduce over (B, S) rows in batch-major order
-        dZ = scratch((D, B, S, G))
+                np.multiply(fwd_g, hs[:, 2 - 2 * s], out=gst[:, 2 * s])
+                np.multiply(rev_g, hs[:, 3 - 2 * s], out=gst[:, 2 * s + 1])
         dh = np.zeros((D, B, H), dtype=dt)
         dc = np.zeros((D, B, H), dtype=dt)
         tc = np.empty((D, B, H), dtype=dt)
         dht = np.empty((D, B, H), dtype=dt)
         dct = np.empty((D, B, H), dtype=dt)
-        tmp = np.empty((D, B, H), dtype=dt)
         tmp3 = np.empty((D, B, H3), dtype=dt)
+        dzt = np.empty((D, B, G), dtype=dt)
         wh_t = np.ascontiguousarray(whs.transpose(0, 2, 1))
         for t in range(S - 1, -1, -1):
-            gt = gates[t]
+            gt = gates[:, :, t]
             zi = gt[..., :H]
             zf = gt[..., H:2 * H]
             zo = gt[..., 2 * H:H3]
@@ -817,7 +818,6 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             np.multiply(dht, zo, out=dct)
             dct *= tmp
             dct += dc
-            dzt = dZ[:, :, t, :]
             # raw gate grads, then one fused sigmoid-derivative pass
             np.multiply(dct, zg, out=dzt[..., :H])
             if t > 0:
@@ -837,6 +837,10 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             dg *= tmp
             np.matmul(dzt, wh_t, out=dh)
             np.multiply(dct, zf, out=dc)
+            # step t's gates are spent; dZ takes their place, batch-major,
+            # the row order the weight-gradient products reduce over
+            gt[...] = dzt
+        dZ = gates
         dZ2 = dZ.reshape(D, B * S, G)
         if any(p.wx.requires_grad for p in param_sets):
             # the rows each direction read: x itself for the forward ones,
@@ -848,12 +852,11 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             if p.b.requires_grad:
                 p.b.accumulate_grad(dZ[sl].sum(axis=(1, 2)), owned=True)
             if p.wh.requires_grad:
-                # the outputs hold the hidden states; the reverse half is
-                # stored in input time order; step 0 has no predecessor
+                # the hidden states of the step before, batch-major; step 0
+                # has no predecessor
                 h_prev = np.empty((2, B, S, H), dtype=dt)
                 h_prev[:, :, 0] = 0.0
-                h_prev[0, :, 1:] = ods[s][:, :-1, :H]
-                h_prev[1, :, 1:] = ods[s][:, :0:-1, H:]
+                h_prev[:, :, 1:] = hs[:-1, sl].transpose(1, 2, 0, 3)
                 p.wh.accumulate_grad(np.matmul(
                     h_prev.reshape(2, B * S, H).transpose(0, 2, 1),
                     dZ2[sl]), owned=True)

@@ -10,6 +10,7 @@ import json
 import numbers
 import os
 import struct
+import sys
 import numpy as np
 from dataclasses import dataclass
 
@@ -349,7 +350,7 @@ def load_manifest(path) -> list[ManifestEntry]:
     relative to the manifest's directory, and each is read by load_wav,
     so one at a rate other than SAMPLE_RATE raises DataError. A record
     that is not a JSON object with a mixture path and equally long lists
-    of source paths, speakers and numeric gains, or whose sources differ
+    of source paths, speakers and finite gains, or whose sources differ
     from the mixture in length, raises FormatError naming path:line."""
     root = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -397,10 +398,12 @@ def _check_record(where: str, rec) -> None:
             or not all(isinstance(v, list) for v in lists)
             or not all(isinstance(p, str) for p in rec["sources"])
             or not all(isinstance(g, (int, float))
-                       and not isinstance(g, bool) for g in rec["gains"])):
+                       and not isinstance(g, bool)
+                       and abs(g) <= sys.float_info.max  # NaN, inf: False
+                       for g in rec["gains"])):
         raise FormatError(f"{where}: mixture must be a path, sources a list "
                           "of paths, speakers a list, gains a list of "
-                          "numbers")
+                          "finite numbers")
     if not lists[0] or len({len(v) for v in lists}) != 1:
         raise FormatError(
             f"{where}: {len(lists[0])} sources, {len(lists[1])} speakers "

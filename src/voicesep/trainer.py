@@ -111,7 +111,8 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
     Deterministic given cfg.seed: the shuffle and crop stream for epoch e
     derives from (seed, e), so resuming from an epoch-boundary checkpoint
     continues bit-identically. Every entry is SAMPLE_RATE audio; an empty
-    entry list raises DataError before anything is written.
+    entry list raises DataError, and an entry holding a NaN or an infinity
+    NumericError, before anything is written.
     """
     cfg.validate()
     if cfg.idloss and embedder is None:
@@ -119,11 +120,14 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
     if not train_entries:
         raise DataError("train: no training entries")
     c = model.config.num_speakers
-    for entry in train_entries:
+    for i, entry in enumerate(train_entries):
         if len(entry.sources) != c:
             raise InputError(
                 f"train: entry has {len(entry.sources)} sources, model "
                 f"separates {c}")
+        if not all(np.isfinite(a).all()
+                   for a in (entry.mixture, *entry.sources)):
+            raise NumericError(f"train: entry {i} holds non-finite samples")
     model.set_requires_grad(True)
     if embedder is not None:
         embedder.set_requires_grad(False)

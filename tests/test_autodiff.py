@@ -426,14 +426,18 @@ def test_backward_drops_every_intermediate_grad():
     it go: no recorded output holds a grad after backward, and the
     leaves hold theirs, here through an intermediate with two consumers."""
     x = t64((3,))
+    w = np.random.default_rng(0).standard_normal(3)
     with ad.Tape() as tape:
         y = ad.mul(x, x)
-        loss = weighted_sum(ad.add(y, ad.scale(y, 3.0)))
+        y3 = ad.scale(y, 3.0)
+        total = ad.add(y, y3)
+        row = ad.reshape(total, (1, -1))
+        loss = ad.linear(row, ad.Tensor(w.reshape(-1, 1)))
+        recorded = [y, y3, total, row, loss]
+        assert len(tape) == len(recorded)
         tape.backward(loss)
-    assert len(tape) == 5
-    assert all(node.out.grad is None for node in tape._nodes)
-    np.testing.assert_allclose(x.grad, 8.0 * x.data * np.random.default_rng(
-        0).standard_normal(3))
+    assert all(out.grad is None for out in recorded)
+    np.testing.assert_allclose(x.grad, 8.0 * x.data * w)
 
 
 def test_detach_blocks_gradient():
@@ -445,9 +449,18 @@ def test_detach_blocks_gradient():
 
 
 def test_no_tape_records_nothing():
+    """An op run outside every tape still requires grad but is recorded
+    nowhere: a tape entered afterwards stays empty and refuses to
+    back-propagate it."""
     x = t64((3,))
-    y = ad.mul(x, x)
-    assert y._tape is None and y.requires_grad
+    y = weighted_sum(ad.mul(x, x))
+    assert y.requires_grad
+    with ad.Tape() as tape:
+        pass
+    assert len(tape) == 0
+    with pytest.raises(UsageError, match="not produced under this tape"):
+        tape.backward(y)
+    assert x.grad is None
 
 
 def test_threads_record_onto_their_own_tapes():

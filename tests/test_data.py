@@ -190,11 +190,16 @@ GOOD_RECORD = {"mixture": "mix.wav", "sources": ["s0.wav", "s1.wav"],
      "0 sources"),
     ({**GOOD_RECORD, "sources": "s0.wav"}, "list of paths"),
     ({**GOOD_RECORD, "gains": [1.0, "x"]}, "numbers"),
+    # JSON's NaN and Infinity parse, as does an integer beyond float range
+    ({**GOOD_RECORD, "gains": [float("nan"), 0.72]}, "finite numbers"),
+    ({**GOOD_RECORD, "gains": [1.0, float("-inf")]}, "finite numbers"),
+    ({**GOOD_RECORD, "gains": [10 ** 400, 1.0]}, "finite numbers"),
     ({**GOOD_RECORD, "sources": ["s0.wav", "short.wav"]},
      "short.wav has 300 samples, the mixture 400"),
 ], ids=["list", "string", "no-mixture", "no-sources", "no-speakers",
         "no-gains", "one-gain", "three-speakers", "empty", "sources-not-list",
-        "gain-not-number", "short-source"])
+        "gain-not-number", "gain-nan", "gain-minus-inf", "gain-huge-int",
+        "short-source"])
 def test_manifest_refuses_a_malformed_record(tmp_path, record, match):
     """Each malformed record raises FormatError naming its line, after a
     good first record; a 2-source record with one gain is one of them."""

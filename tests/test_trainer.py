@@ -326,6 +326,31 @@ def test_train_refuses_no_entries(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["mixture", "source"])
+def test_train_refuses_non_finite_samples_before_writing(tmp_path, where):
+    """An entry holding a NaN or an infinity is refused with NumericError
+    naming its index, before an earlier run's log is emptied or any step
+    updates the model."""
+    entries = tiny_entries()
+    model = init_params(SMALL, seed=0)
+    trainer.train(model, None, entries, small_cfg(epochs=1),
+                  out_dir=str(tmp_path))
+    log = (tmp_path / "train.log").read_text()
+    before = [p.data.copy() for _, p in model.named_parameters()]
+    bad = dataclasses.replace(entries[1], mixture=entries[1].mixture.copy(),
+                              sources=[s.copy() for s in entries[1].sources])
+    if where == "mixture":
+        bad.mixture[7] = np.nan
+    else:
+        bad.sources[1][7] = np.inf
+    with pytest.raises(NumericError, match="entry 1 holds non-finite"):
+        trainer.train(model, None, [entries[0], bad, *entries[2:]],
+                      small_cfg(epochs=1), out_dir=str(tmp_path))
+    assert (tmp_path / "train.log").read_text() == log
+    assert all(np.array_equal(p.data, b)
+               for (_, p), b in zip(model.named_parameters(), before))
+
+
 def test_log_file_and_checkpoints(tmp_path):
     entries = tiny_entries()
     model = init_params(SMALL, seed=0)
