@@ -12,7 +12,6 @@ Training runs in float32; gradient checking runs the same graph in float64
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import functools
 import math
@@ -82,73 +81,18 @@ class _Node(NamedTuple):
     backward: Callable[[np.ndarray], None]
 
 
-class Workspace:
-    """Scratch arrays shared by the tapes of one training run, kept on a
-    free list keyed on (shape, dtype).
-
-    An op takes a buffer that never leaves it -- one it fully writes
-    before reading, and that is neither returned nor saved by another op
-    -- and gives it back when its backward has finished with it. A tape
-    whose backward has run may still hold such a buffer while a later
-    tape reuses it, which is why a tape's backward runs once. `give`
-    refuses (UsageError) a view or a non-C-contiguous array: lending one
-    could let two holders write one buffer.
-
-    The free list holds at most one tape's worth: a tape's backward ends
-    with `trim`, which keeps of each (shape, dtype) only as many free
-    buffers as were taken since the last trim, and a take that finds no
-    free buffer drops those of every shape not taken since then. Steps
-    whose shapes repeat (crops of one length) reuse every buffer; a step
-    with shapes of its own (an entry shorter than the crop) lets go of
-    the last step's buffers at its first new shape and allocates fresh.
-    """
-
-    def __init__(self):
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._taken: collections.Counter = collections.Counter()
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype))
-        self._taken[key] += 1
-        free = self._free.get(key)
-        if free:
-            return free.pop()
-        # a shape the last tape left none of: the step's lengths changed,
-        # so free buffers of shapes this tape has not taken yet are stale
-        self._free = {k: f for k, f in self._free.items() if self._taken[k]}
-        return np.empty(shape, dtype=dtype)
-
-    def give(self, *arrays: np.ndarray) -> None:
-        if any(a.base is not None or not a.flags.c_contiguous
-               for a in arrays):
-            raise UsageError("Workspace.give: only a C-contiguous array "
-                             "that owns its memory can be reused")
-        for a in arrays:
-            self._free.setdefault((a.shape, a.dtype), []).append(a)
-
-    def trim(self) -> None:
-        """Drop the free buffers beyond those taken since the last trim."""
-        self._free = {key: free[:self._taken[key]]
-                      for key, free in self._free.items()
-                      if self._taken[key]}
-        self._taken.clear()
-
-
 class Tape:
     """Ordered record of operations for one forward pass.
 
     Replaying the record in reverse visits every node after all of its
-    consumers, so a single backward sweep suffices. With a `workspace`,
-    ops take their large scratch arrays from it instead of allocating
-    them (see Workspace); without one they allocate fresh. A tape makes
-    no workspace of its own: a tape outlives its backward (every output
-    it recorded refers to it), and a pool of its own would keep the
-    backward's scratch alive with it.
+    consumers, so a single backward sweep suffices. A tape outlives its
+    backward (every output it recorded refers to it), so an op whose
+    saved arrays are large drops them when its backward closure ends:
+    a spent tape then pins none of them.
     """
 
-    def __init__(self, workspace: Optional[Workspace] = None):
+    def __init__(self):
         self._nodes: list[_Node] = []
-        self.workspace = workspace
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -171,11 +115,11 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate grads of every parameter reachable from `loss`.
 
-        Runs once per tape: ops may have given their saved buffers back to
-        the workspace, so a second call raises UsageError. Parameter (leaf)
-        grads accumulate across tapes. Each intermediate (recorded output)
-        grad is dropped as soon as its node's backward has consumed it, so
-        none is held after the call.
+        Runs once per tape: ops may have dropped the arrays they saved, so
+        a second call raises UsageError. Parameter (leaf) grads accumulate
+        across tapes. Each intermediate (recorded output) grad is dropped
+        as soon as its node's backward has consumed it, so none is held
+        after the call.
         """
         if loss._tape is not self:
             raise UsageError("backward() called on a tensor that was not "
@@ -191,8 +135,6 @@ class Tape:
             g, node.out.grad = node.out.grad, None
             if g is not None:
                 node.backward(g)
-        if self.workspace is not None:
-            self.workspace.trim()
 
 
 # The tapes entered in this thread (or asyncio task), innermost last. A
@@ -666,17 +608,13 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     reverse ones at time S-1-t.
 
     Without a recording tape (or when nothing requires grad) the loop
-    keeps only h, c and the output it fills. Under a tape it also keeps
-    the activated gates, copied each step into one (D, B, S, 4H) buffer.
-    Backward rebuilds c and h = o * tanh(c) from them bit for bit, with
-    the forward's ops in its order, and writes each step's gate grads
-    over that step's gates, so that buffer ends as dZ.
-
-    Under a tape with a workspace, every array the op keeps but does not
-    return is taken from it and given back when backward ends: the
-    stacked weights, the gates, and backward's rebuilt c and h and grads
-    gst (S, D, B, H). Each is fully written before it is read. What is
-    returned stays fresh, since a later op may save it.
+    keeps only h, c and the output it fills. Under a tape the op saves
+    for backward the activated gates, copied each step into one
+    (D, B, S, 4H) buffer, and the stacked weights. Backward rebuilds c
+    and h = o * tanh(c) from the gates bit for bit, with the forward's
+    ops in its order, and writes each step's gate grads over that step's
+    gates, so that buffer ends as dZ. Its last act is to drop the gates
+    and the stacked weights, so a spent tape holds neither.
     """
     if len(param_sets) not in (1, 2):
         raise ConfigurationError("bilstm_bank: expected 1 or 2 parameter "
@@ -702,21 +640,9 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     inputs = (x,) + tuple(t for p in param_sets for t in p)
     tape = active_tape()
     keep = tape is not None and any(t.requires_grad for t in inputs)
-    ws = tape.workspace if keep else None
-    lent = []  # what scratch took from the workspace, given back in backward
-
-    def scratch(shape):
-        if ws is None:
-            return np.empty(shape, dtype=dt)
-        a = ws.take(shape, dt)
-        lent.append(a)
-        return a
-
-    wxs = np.concatenate([p.wx.data for p in param_sets],
-                         out=scratch((D, F, G)))
-    whs = np.concatenate([p.wh.data for p in param_sets],
-                         out=scratch((D, H, G)))
-    bs = np.concatenate([p.b.data for p in param_sets], out=scratch((D, G)))
+    wxs = np.concatenate([p.wx.data for p in param_sets])
+    whs = np.concatenate([p.wh.data for p in param_sets])
+    bs = np.concatenate([p.b.data for p in param_sets])
 
     # time-major input rows (a copy unless B == 1); forward and reverse
     # directions project through their own (F, sets * 4H) weights
@@ -732,7 +658,7 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     # half and reverse ones, in input time order, in its second; with two
     # sets, each is the product of the two sets' hidden states
     y = np.empty((B, S, 2 * H), dtype=dt)
-    gates = scratch((D, B, S, G)) if keep else None
+    gates = np.empty((D, B, S, G), dtype=dt) if keep else None
     z = np.empty((D, B, G), dtype=dt)
     h = np.zeros((D, B, H), dtype=dt)
     h_sets = h.reshape(n_sets, 2, B, H)
@@ -773,8 +699,9 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
+        nonlocal gates, wxs, whs
         # rebuild c and h as the forward made them: f*c, then i*g, then +=
-        cs = scratch((S, D, B, H))
+        cs = np.empty((S, D, B, H), dtype=dt)
         tmp = np.empty((D, B, H), dtype=dt)
         c = np.zeros((D, B, H), dtype=dt)
         for t in range(S):
@@ -782,11 +709,11 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             np.multiply(gates[:, :, t, :H], gates[:, :, t, H3:], out=tmp)
             cs[t] += tmp
             c = cs[t]
-        hs = np.tanh(cs, out=scratch((S, D, B, H)))
+        hs = np.tanh(cs)
         hs *= gates[..., 2 * H:H3].transpose(2, 0, 1, 3)
         # the grads of the set outputs, time-major, the reverse directions
         # in step order: through the product, as mul's, straight into gst
-        gst = scratch((S, D, B, H))
+        gst = np.empty((S, D, B, H), dtype=dt)
         g_time = g.transpose(1, 0, 2)
         fwd_g, rev_g = g_time[..., :H], g_time[::-1, :, H:]
         if n_sets == 1:
@@ -880,8 +807,9 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             fwd += rev.reshape(B, S, F)[:, ::-1]
             del rev
             x.accumulate_grad(fwd, owned=True)
-        if ws is not None:
-            ws.give(*lent)
+        # drop what the forward saved: a spent tape lives as long as any
+        # output it recorded, and would pin it
+        gates = wxs = whs = None
     return _finish(out, inputs, backward)
 
 

@@ -160,7 +160,8 @@ def load_separator(path):
     """Returns (model, seed, step, optimizer-state arrays).
 
     Every array shape is validated against a fresh model built from the
-    stored config, so a mangled file cannot silently load.
+    stored config, so a mangled file cannot silently load. The optimizer
+    state is either absent or whole (see _check_optimizer).
     """
     kind, config, seed, step, arrays = load_checkpoint(path)
     if kind != "separator":
@@ -168,7 +169,29 @@ def load_separator(path):
     model = _build(path, ModelConfig, config, init_params)
     params, opt = _split_optimizer(arrays)
     _install(path, model, params)
+    if opt:
+        _check_optimizer(path, model, opt)
     return model, seed, step, opt
+
+
+def _check_optimizer(path, model, opt: dict) -> None:
+    """CheckpointError, naming the file, unless `opt` is exactly Adam's
+    state: adam.t, one whole number >= 0, and adam.m.<p> and adam.v.<p>
+    in the shape of every parameter p."""
+    shapes = {f"adam.{moment}.{name}": tensor.data.shape
+              for name, tensor in model.named_parameters()
+              for moment in "mv"}
+    shapes["adam.t"] = (1,)
+    wrong = sorted(name for name in shapes.keys() | opt.keys()
+                   if name not in opt or opt[name].shape != shapes.get(name))
+    if wrong:
+        raise CheckpointError(
+            f"{path}: optimizer state is not Adam's for this model: "
+            f"{wrong[:3]} missing, unexpected or of another shape")
+    t = float(opt["adam.t"][0])
+    if t < 0 or not t.is_integer():
+        raise CheckpointError(
+            f"{path}: adam.t is {t}, not a whole number >= 0")
 
 
 def save_embedder(path, model: EmbedderModel, seed: int) -> None:

@@ -166,7 +166,7 @@ def cmd_train(args) -> int:
     _, logs = trainer.train(model, embedder, train_entries, cfg,
                             valid_entries=valid_entries, out_dir=args.out,
                             resume_from=args.resume)
-    print(f"trained {cfg.epochs} epochs; final loss "
+    print(f"trained to epoch {logs[-1].epoch}; final loss "
           f"{logs[-1].train_loss:.4f}")
     return 0
 

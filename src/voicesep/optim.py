@@ -61,12 +61,11 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
+        """Adopt state_arrays() output, as load_separator checks it."""
         self.t = int(arrays["adam.t"][0])
         for name, p in self.named_params:
-            self.m[name] = arrays[f"adam.m.{name}"].astype(
-                p.data.dtype).reshape(p.data.shape)
-            self.v[name] = arrays[f"adam.v.{name}"].astype(
-                p.data.dtype).reshape(p.data.shape)
+            self.m[name] = arrays[f"adam.m.{name}"].astype(p.data.dtype)
+            self.v[name] = arrays[f"adam.v.{name}"].astype(p.data.dtype)
 
 
 def clip_global_norm(named_params, max_norm: float) -> float:

@@ -112,7 +112,9 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
     derives from (seed, e), so resuming from an epoch-boundary checkpoint
     continues bit-identically. Every entry is SAMPLE_RATE audio; an empty
     entry list raises DataError, and an entry holding a NaN or an infinity
-    NumericError, before anything is written.
+    NumericError, before anything is written. So does ConfigurationError
+    for a checkpoint whose step is not a whole number of epochs at this
+    batch size, or that leaves no epoch of cfg.epochs to train.
     """
     cfg.validate()
     if cfg.idloss and embedder is None:
@@ -140,20 +142,27 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
         if loaded.config.to_dict() != model.config.to_dict():
             raise ConfigurationError(
                 "resume checkpoint config does not match the model")
+        done, part = divmod(step, steps_per_epoch)
+        if step < 0 or part:
+            raise ConfigurationError(
+                f"resume: step {step} of {resume_from} is not a whole "
+                f"number of epochs at batch size {cfg.batch_size}")
+        if done >= cfg.epochs:
+            raise ConfigurationError(
+                f"resume: {resume_from} ends epoch {done}, so no epoch of "
+                f"{cfg.epochs} is left to train")
         for (_, dst), (_, src) in zip(model.named_parameters(),
                                       loaded.named_parameters()):
             dst.data = src.data
         if opt_state:
             opt.load_state_arrays(opt_state)
-        start_epoch = step // steps_per_epoch + 1
+        start_epoch = done + 1
 
     stride = model.config.kernel_len // 2
     seg_len = int(round(cfg.segment_s * SAMPLE_RATE))
     seg_len -= seg_len % stride   # encode needs a multiple of the stride
     logs = []
     best_val = -np.inf
-    # one set of BiLSTM scratch buffers, reused by every step's tape
-    workspace = ad.Workspace()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train.log") if out_dir else None
@@ -167,7 +176,7 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
         for b0 in range(0, n, cfg.batch_size):
             idxs = order[b0:b0 + cfg.batch_size]
             step_no = (epoch - 1) * steps_per_epoch + b0 // cfg.batch_size + 1
-            with ad.Tape(workspace=workspace) as tape:
+            with ad.Tape() as tape:
                 total = None
                 for i in idxs:
                     x, targets = _crop(train_entries[i], seg_len, stride,

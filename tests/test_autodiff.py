@@ -339,44 +339,6 @@ def test_backward_runs_once_per_tape():
     assert np.array_equal(x.grad, first)
 
 
-def test_workspace_keeps_no_more_than_the_last_tape_took():
-    """After a trim the free list holds, of each shape, only as many
-    buffers as were taken since the trim before, and reuses them. A take
-    it has no buffer for drops those of shapes not taken since the trim."""
-    ws = ad.Workspace()
-    f32 = np.dtype(np.float32)
-
-    def held():
-        return {k[0]: len(free) for k, free in ws._free.items() if free}
-    first = [ws.take((4,), f32) for _ in range(3)] + [ws.take((5,), f32)]
-    ws.give(*first)
-    ws.trim()
-    reused = ws.take((4,), f32)
-    assert any(reused is a for a in first[:3])
-    assert held() == {(4,): 2, (5,): 1}
-    new = ws.take((6,), f32)
-    assert held() == {(4,): 2}
-    ws.give(reused, new)
-    ws.trim()
-    assert held() == {(4,): 1, (6,): 1}
-
-
-def test_workspace_refuses_arrays_it_could_not_reuse():
-    """A view shares its memory with another array, and a strided array
-    is not one block: lending either could let two holders write one
-    buffer. give refuses both, and keeps none of the arrays it was given
-    with them."""
-    ws = ad.Workspace()
-    own = np.zeros((4, 6), dtype=np.float32)
-    for bad in (own[1:], own.reshape(-1), own[:, ::2],
-                np.zeros((4, 6), dtype=np.float32, order="F")):
-        with pytest.raises(UsageError):
-            ws.give(own, bad)
-    assert not ws._free
-    ws.give(own)
-    assert ws.take((4, 6), np.float32) is own
-
-
 def test_owned_first_grads_are_adopted_and_grads_unchanged(monkeypatch):
     """A first gradient given as owned becomes the grad without a copy.
     Where one array reaches two inputs, or one input is read twice, the

@@ -6,10 +6,11 @@ input, stores every per-step buffer batch-major and keeps tanh(c).
 `bilstm_bank` returns one output, the product of two sets or the output
 of one; it must give the same float32 bits as the oracle's outputs
 multiplied with `ad.mul`, for the output and for every gradient, also
-when one workspace serves a chain of taped calls. It must hold less
-memory: under a tape it keeps only the gates for backward, which
-rebuilds the cell and hidden states from them and writes the gate
-gradients over them.
+over a chain of taped calls. It must hold less memory: under a tape it
+keeps only the gates and the stacked weights for backward, which
+rebuilds the cell and hidden states from the gates, writes the gate
+gradients over them, and then drops both, so a spent tape holds
+neither.
 """
 
 import tracemalloc
@@ -311,6 +312,7 @@ def mem_case(shape=MEM_SHAPE):
              "bwd_step": (7 * D * B * H + D * B * 3 * H
                           + D * B * 4 * H) * item,
              "params": D * (F + H + 1) * 4 * H * item,
+             "stacked": D * (F + H) * 4 * H * item,
              "outs": 2 * B * S * 2 * H * item,
              "gated": B * S * 2 * H * item,
              "gates": S * D * B * 4 * H * item,
@@ -357,44 +359,24 @@ def test_taped_call_holds_no_input_copy_or_tanh_c():
     assert saved <= held < saved + SLACK
 
 
-def test_pooled_taped_call_holds_only_the_gated_product():
-    """Under a tape whose workspace an earlier call's backward has filled,
-    a taped call takes everything it keeps but does not return -- the
-    gates and the stacked weights -- from the workspace: it holds only
-    the gated product."""
+def test_spent_tape_holds_no_gates_or_stacked_weights():
+    """Once backward has run, a taped call holds none of what it saved:
+    with the tape, the loss and the output still referenced -- each
+    output refers to its tape, which keeps every backward closure alive
+    -- only the output itself and the grads backward left stay, within
+    less than the size of the stacked weights."""
     x, sets, sizes = mem_case()
-    workspace = ad.Workspace()
-    with ad.Tape(workspace=workspace) as tape:
-        loss = ad.mean_axes(ad.bilstm_bank(x, sets), (0, 1, 2))
-    tape.backward(loss)
-    tape = ad.Tape(workspace=workspace)
 
-    def call():
-        with tape:
-            return ad.bilstm_bank(x, sets)
-    _, held, _ = traced_call(call)
-    assert SLACK < sizes["outs"] < sizes["gates"]
-    assert sizes["gated"] <= held < sizes["gated"] + SLACK
-
-
-def test_returned_arrays_are_never_lent():
-    """What the op returns -- one set's output block, or the gated
-    product -- is never taken from the workspace: a later step of the
-    same shapes, which reuses every buffer the workspace lent, leaves each
-    earlier output as it was after its own step."""
-    workspace = ad.Workspace()
-    held = []
-    for step, n_sets in enumerate((1, 1, 2, 2)):
-        x_data, set_data, _ = make_case((3, 5, 4, 2), n_sets, seed=step)
-        x = Tensor(x_data, requires_grad=True)
-        sets = [ad.LSTMParams(*(Tensor(a, requires_grad=True) for a in p))
-                for p in set_data]
-        with ad.Tape(workspace=workspace) as tape:
+    def call_and_backward():
+        with ad.Tape() as tape:
             out = ad.bilstm_bank(x, sets)
             loss = ad.mean_axes(out, (0, 1, 2))
         tape.backward(loss)
-        held.append((out, out.data.copy()))
-    assert all(np.array_equal(out.data, copy) for out, copy in held)
+        return tape, loss, out
+    _, held, _ = traced_call(call_and_backward)
+    kept = sizes["gated"] + sizes["x"] + sizes["params"]
+    assert sizes["stacked"] < sizes["gates"]
+    assert kept <= held < kept + sizes["stacked"]
 
 
 # A wide input, so that a (D, B, S, F) input-gradient block would not
@@ -423,15 +405,12 @@ def test_backward_peaks_without_a_stacked_input_gradient():
     assert held + 3 * sizes["x"] <= peak < bound
 
 
-def test_chained_calls_on_one_workspace_match_the_reference():
+def test_chained_calls_match_the_reference():
     """Taped calls chained as the model's blocks chain them, alternating
-    between (B, S, F) and (S, B, F) inputs, over three steps that share
-    one workspace: every call's output and every gradient keeps the
-    reference's bits. Each gates buffer goes back to the pool holding
-    dZ, so a call that read a buffer before writing it would show
-    here."""
+    between (B, S, F) and (S, B, F) inputs, over three steps of a tape
+    each: every call's output and every gradient keeps the reference's
+    bits."""
     B, S, H = 6, 4, 8
-    workspace = ad.Workspace()
     for step in range(3):
         rng = np.random.default_rng(step)
         cases = [make_case((B, S, 2 * H, H), n_sets, seed=10 * step + i)
@@ -439,13 +418,13 @@ def test_chained_calls_on_one_workspace_match_the_reference():
         x_data = rng.standard_normal((B, S, 2 * H)).astype(np.float32)
         weight = rng.standard_normal((B * S * 2 * H, 1)).astype(np.float32)
 
-        def chain(kernel, ws):
+        def chain(kernel):
             x = Tensor(x_data.copy(), requires_grad=True)
             calls = [[ad.LSTMParams(*(Tensor(a.copy(), requires_grad=True)
                                       for a in p)) for p in sets]
                      for _, sets, _ in cases]
             outs = []
-            with ad.Tape(workspace=ws) as tape:
+            with ad.Tape() as tape:
                 y = x
                 for sets in calls:
                     outs.append(kernel(y, sets))
@@ -456,6 +435,6 @@ def test_chained_calls_on_one_workspace_match_the_reference():
                     [x.grad] + [a.grad for sets in calls for p in sets
                                 for a in p])
 
-        got, want = chain(ad.bilstm_bank, workspace), chain(oracle, None)
+        got, want = chain(ad.bilstm_bank), chain(oracle)
         for g, w in zip(got[0] + got[1], want[0] + want[1]):
             assert g.shape == w.shape and np.array_equal(g, w)

@@ -67,6 +67,57 @@ def test_optimizer_state_round_trip(tmp_path):
         np.testing.assert_array_equal(opt2.v[name], opt.v[name])
 
 
+def optimizer_arrays():
+    """A model's parameters and its Adam state after one step."""
+    model = init_params(SMALL, seed=0)
+    opt = Adam(model.named_parameters(), lr=1e-3)
+    for _, t in model.named_parameters():
+        t.grad = np.full_like(t.data, 0.1)
+    opt.step()
+    arrays = {name: p.data for name, p in model.named_parameters()}
+    arrays.update(opt.state_arrays())
+    return arrays
+
+
+def without(*prefixes):
+    return lambda a: {k: v for k, v in a.items()
+                      if not k.startswith(prefixes)}
+
+
+def replaced(name, value):
+    """`value` maps the arrays to the one stored under `name`."""
+    return lambda a: {**a, name: value(a)}
+
+
+M, V = "adam.m.block1.lstm1.b", "adam.v.block1.lstm1.b"
+MALFORMED_STATE = {
+    "no_t": without("adam.t"),
+    "no_m": without(M),
+    "no_v": without(V),
+    "t_alone": without("adam.m.", "adam.v."),
+    "unknown_name": replaced("adam.m.nope", lambda a: np.zeros(3)),
+    "m_shape": replaced(M, lambda a: a[M][1:]),
+    "v_shape": replaced(V, lambda a: a[V][None]),
+    "t_two_values": replaced("adam.t", lambda a: np.ones(2)),
+    "t_scalar": replaced("adam.t", lambda a: np.float32(1)),
+    "t_negative": replaced("adam.t", lambda a: np.array([-1.0])),
+    "t_fraction": replaced("adam.t", lambda a: np.array([1.5])),
+}
+
+
+@pytest.mark.parametrize("mangle", MALFORMED_STATE.values(),
+                         ids=MALFORMED_STATE.keys())
+def test_malformed_optimizer_state_raises_checkpoint_error(tmp_path, mangle):
+    """Optimizer state is absent, or adam.t (one whole number >= 0) with
+    adam.m and adam.v in the shape of every parameter. Anything between
+    is refused naming the file, never left for a resume to trip over."""
+    p = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(p, "separator", SMALL.to_dict(), 0, 1,
+                         mangle(optimizer_arrays()))
+    with pytest.raises(CheckpointError, match=str(p)):
+        ckpt.load_separator(p)
+
+
 def test_embedder_round_trip(tmp_path):
     model = init_embedder(EmbedderConfig(n_classes=3), seed=5)
     p = tmp_path / "e.ckpt"

@@ -15,6 +15,7 @@ from voicesep import data as dataio
 from voicesep.cli import build_parser, main
 from voicesep.embedder import EmbedderConfig, init_embedder
 from voicesep.model import ModelConfig, init_params
+from voicesep.optim import Adam
 
 SMALL_FLAGS = ["--filters", "8", "--hidden", "8", "--blocks", "2",
                "--kernel", "4", "--chunk", "6"]
@@ -399,6 +400,53 @@ def test_exit_code_numeric_error(tmp_path, trained, monkeypatch):
     code = main(["separate", "--out", str(tmp_path / "o"), "--checkpoint",
                  os.path.join(trained, "best.ckpt"), "--in", "mix.wav"])
     assert code == 5
+
+
+def test_train_resume_that_cannot_continue_exits_2(tmp_path, corpus,
+                                                   capsys):
+    """Resuming a finished run, or a checkpoint whose step is no whole
+    number of epochs at the new batch size, exits 2 with one
+    ConfigurationError line and leaves the run's log and checkpoint as
+    they were."""
+    run = tmp_path / "run"
+    base = ["train", "--out", str(run), "--data", corpus, "--segment",
+            "0.25", "--ablate", "idloss", *SMALL_FLAGS]
+    # four training entries: one step an epoch at --batch 4, two at 2
+    assert main([*base, "--epochs", "1", "--batch", "4"]) == 0
+    kept = {name: (run / name).read_bytes()
+            for name in ("train.log", "last.ckpt")}
+    capsys.readouterr()
+    resume = ["--resume", str(run / "last.ckpt")]
+    for flags, match in ((["--epochs", "1", "--batch", "4"], "no epoch"),
+                         (["--epochs", "2", "--batch", "2"],
+                          "whole number of epochs")):
+        assert main([*base, *flags, *resume]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigurationError: ") and match in err
+        assert err.count("\n") == 1
+    assert kept == {name: (run / name).read_bytes() for name in kept}
+
+
+def test_train_resume_from_partial_optimizer_state_exits_4(tmp_path,
+                                                           corpus, capsys):
+    """A checkpoint missing one Adam moment is refused as a checkpoint
+    error naming the file, not with a KeyError traceback."""
+    model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=2,
+                                    kernel_len=4, chunk_len=6), seed=0)
+    opt = Adam(model.named_parameters())
+    arrays = {n: p.data for n, p in model.named_parameters()}
+    arrays.update(opt.state_arrays())
+    del arrays["adam.m.block1.lstm1.b"]
+    bad = tmp_path / "partial.ckpt"
+    ckpt.save_checkpoint(bad, "separator", model.config.to_dict(), 0, 0,
+                         arrays)
+    code = main(["train", "--out", str(tmp_path / "t"), "--data", corpus,
+                 "--epochs", "1", "--segment", "0.25", "--ablate", "idloss",
+                 *SMALL_FLAGS, "--resume", str(bad)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"CheckpointError: {bad}: ")
+    assert not list((tmp_path / "t").glob("*.ckpt"))
 
 
 @pytest.mark.parametrize("flag,value", [

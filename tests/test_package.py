@@ -135,3 +135,24 @@ def test_every_definition_has_a_caller():
                                           path.stem)
             if name not in used]
     assert sorted(dead) == sorted(UNREACHED_ENTRY_POINTS)
+
+
+def test_every_module_level_import_is_used():
+    """A name a package module imports at its top level that nothing in
+    the module refers to is a dead import. `__init__` is exempt (its
+    imports are the exports) and so is `from __future__`."""
+    unused = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import) or (
+                    isinstance(stmt, ast.ImportFrom)
+                    and stmt.module != "__future__"):
+                unused += [f"{path.stem}: {bound}" for bound in (
+                    alias.asname or alias.name.partition(".")[0]
+                    for alias in stmt.names) if bound not in used]
+    assert unused == []

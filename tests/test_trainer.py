@@ -160,92 +160,6 @@ def test_paper_shaped_step_records_one_si_snr_per_scale():
     assert owners.count("si_snr") == 3
 
 
-def step_grads(model, entry, workspace=None):
-    """The model's gradients from one crop's objective on a tape of its
-    own, with `workspace` if given."""
-    for _, p in model.named_parameters():
-        p.zero_grad()
-    with ad.Tape(workspace=workspace) as tape:
-        loss = trainer.crop_loss(
-            model, None, entry.mixture.astype(np.float32),
-            [t.astype(np.float32) for t in entry.sources], small_cfg())
-    tape.backward(loss)
-    return [p.grad.copy() for _, p in model.named_parameters()]
-
-
-def test_stale_workspace_buffers_leave_gradients_unchanged():
-    """Steps that share a workspace, as train()'s do, give the gradient
-    bits of a step that allocates fresh, also when every buffer the
-    workspace holds is NaN-filled: each pooled buffer is written before
-    it is read. The second and third steps reuse exactly the buffers the
-    first one gave back."""
-    model = init_params(SMALL, seed=1)
-    model.set_requires_grad(True)
-    entry = tiny_entries(n=1)[0]
-    fresh = step_grads(model, entry)
-    workspace = ad.Workspace()
-    pooled = None
-    for _ in range(3):
-        grads = step_grads(model, entry, workspace)
-        assert all(np.array_equal(g, f) for g, f in zip(grads, fresh))
-        buffers = [b for free in workspace._free.values() for b in free]
-        assert buffers
-        assert pooled is None or {id(b) for b in buffers} == pooled
-        pooled = {id(b) for b in buffers}
-        for b in buffers:
-            b.fill(np.nan)
-
-
-def test_train_steps_share_one_workspace(monkeypatch):
-    tapes = []
-
-    class Recorded(ad.Tape):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            tapes.append(self)
-    monkeypatch.setattr(ad, "Tape", Recorded)
-    trainer.train(init_params(SMALL, seed=1), None, tiny_entries(),
-                  small_cfg(epochs=2))
-    assert len(tapes) == 4
-    assert isinstance(tapes[0].workspace, ad.Workspace)
-    assert all(t.workspace is tapes[0].workspace for t in tapes)
-
-
-def test_workspace_holds_one_steps_buffers_on_mixed_lengths(monkeypatch):
-    """Entries shorter than the crop are used whole, so a corpus of mixed
-    lengths gives each step BiLSTM shapes of its own. After every step the
-    workspace holds buffers of that step's shapes only, no more of each
-    than the step took: those of a length no later step uses are dropped,
-    not kept until train() returns."""
-    workspaces, steps = [], []
-
-    class Recorded(ad.Workspace):
-        def __init__(self):
-            super().__init__()
-            workspaces.append(self)
-
-        def trim(self):
-            taken = dict(self._taken)
-            super().trim()
-            steps.append((taken, self.held()))
-
-        def held(self):
-            return {k: len(free) for k, free in self._free.items() if free}
-    monkeypatch.setattr(ad, "Workspace", Recorded)
-    entries = [dataclasses.replace(e, mixture=e.mixture[:n],
-                                   sources=[s[:n] for s in e.sources])
-               for e, n in zip(tiny_entries(n=5), (800, 1200, 1600, 2000,
-                                                    2400))]
-    trainer.train(init_params(SMALL, seed=1), None, entries,
-                  small_cfg(epochs=1, batch_size=1, segment_s=0.5))
-    assert len(workspaces) == 1 and len(steps) == len(entries)
-    assert len({frozenset(taken) for taken, _ in steps}) == len(entries)
-    for taken, held in steps:
-        assert held
-        assert all(n <= taken.get(k, 0) for k, n in held.items())
-    assert workspaces[0].held() == steps[-1][1]
-
-
 def test_training_reduces_loss_and_is_deterministic():
     entries = tiny_entries()
 
@@ -295,6 +209,30 @@ def test_resume_rejects_config_mismatch(tmp_path):
     with pytest.raises(ConfigurationError, match="config"):
         trainer.train(other, None, entries, small_cfg(epochs=2),
                       resume_from=str(tmp_path / "last.ckpt"))
+
+
+@pytest.mark.parametrize("step,epochs,match", [
+    (1, 2, "whole number of epochs"), (3, 3, "whole number of epochs"),
+    (-2, 2, "whole number of epochs"), (4, 2, "no epoch"),
+    (6, 2, "no epoch")])
+def test_resume_that_cannot_continue_is_refused(tmp_path, step, epochs,
+                                                match):
+    """Four entries at batch size 2 make two steps an epoch. A step off
+    that grid would train part of an epoch twice, and a checkpoint at or
+    past the last epoch leaves nothing to train: both are refused before
+    the model changes or anything is written."""
+    resume = tmp_path / "r.ckpt"
+    ckpt.save_separator(resume, init_params(SMALL, seed=1), seed=0,
+                        step=step)
+    model = init_params(SMALL, seed=0)
+    before = [p.data.copy() for _, p in model.named_parameters()]
+    out = tmp_path / "t"
+    with pytest.raises(ConfigurationError, match=match):
+        trainer.train(model, None, tiny_entries(), small_cfg(epochs=epochs),
+                      out_dir=str(out), resume_from=str(resume))
+    assert not out.exists()
+    assert all(np.array_equal(p.data, b)
+               for (_, p), b in zip(model.named_parameters(), before))
 
 
 def test_source_count_mismatch_rejected():
