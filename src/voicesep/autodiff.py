@@ -305,33 +305,6 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _finish(out, (x,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise UsageError("concat of an empty sequence")
-    ref = tensors[0]
-    for k, t in enumerate(tensors[1:], start=1):
-        if t.data.ndim != ref.data.ndim:
-            raise DimensionError(f"concat: operand {k} rank mismatch")
-        for ax in range(ref.data.ndim):
-            if ax != axis % ref.data.ndim and \
-                    t.data.shape[ax] != ref.data.shape[ax]:
-                raise DimensionError(
-                    f"concat: axis {ax} mismatch on operand {k} "
-                    f"({t.data.shape[ax]} vs {ref.data.shape[ax]})")
-        _check_same_dtype(ref, t, "concat")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
-    return _finish(out, tuple(tensors), backward)
-
-
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous copy of the range [start, stop) along one axis."""
     n = x.data.shape[axis]
@@ -585,36 +558,40 @@ def _check_lstm_params(params: LSTMParams):
 
 
 def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
-    """The MulCat gate: run one or two bidirectional LSTMs over the same
-    input in one fused recurrence.
+    """The MulCat block's gate and skip: run one or two bidirectional
+    LSTMs over the same input in one fused recurrence, and concatenate
+    the input to their output.
 
-    x: (B, S, F). Returns one (B, S, 2H) tensor: the output of the one
-    parameter set (the "-gating" ablation), or the elementwise product of
-    the outputs of the two. All D = 2 * sets directions advance together
-    as one stacked batch, so each step is a handful of large numpy calls
-    -- this loop is the hot path of training and inference.
+    x: (B, S, F). Returns one (B, S, 2H + F) tensor: in its first 2H
+    columns the output of the one parameter set (the "-gating"
+    ablation), or the elementwise product of the outputs of the two; in
+    its last F columns a copy of x. All D = 2 * sets directions advance
+    together as one stacked batch, so each step is a handful of large
+    numpy calls -- this loop is the hot path of training and inference.
 
-    Layout: the input is projected outside the step loop, but one block
-    of _PROJ_BLOCK steps at a time, into one (2, block*B, sets*4H) buffer
-    that the whole call reuses: a (block*B, F) @ (F, sets*4H) product
-    over the time-major input rows [t0, t0+block) for the forward
-    directions, and one over the mirrored rows [S-t0-block, S-t0) for
-    the reverse ones, which read input row S-1-t at step t. Each step's
-    gate math runs in place in one contiguous (D, B, 4H) buffer, and its
-    h goes into one contiguous (D, B, H) buffer, which the next step's
-    recurrence reads. No hidden-state staging and no per-set outputs:
+    Layout: the input is projected outside the step loop, one block of
+    _PROJ_BLOCK steps at a time: its time-major rows [t0, t0+block) for
+    the forward directions and the mirrored rows [S-t0-block, S-t0) for
+    the reverse ones, which read input row S-1-t at step t, are copied
+    into one (2, block, B, F) staging buffer, and two (block*B, F) @
+    (F, sets*4H) products fill one (2, block*B, sets*4H) buffer; the
+    call reuses both. Each step's gate math runs in place in one
+    contiguous (D, B, 4H) buffer, and its h goes into one contiguous
+    (D, B, H) buffer, which the next step's recurrence reads. No hidden-state staging and no per-set outputs:
     each step writes h, or with two sets the product of the sets' h,
-    straight into the output, the forward directions at time t and the
-    reverse ones at time S-1-t.
+    straight into the output's first 2H columns, the forward directions
+    at time t and the reverse ones at time S-1-t.
 
     Without a recording tape (or when nothing requires grad) the loop
     keeps only h, c and the output it fills. Under a tape the op saves
     for backward the activated gates, copied each step into one
-    (D, B, S, 4H) buffer, and the stacked weights. Backward rebuilds c
-    and h = o * tanh(c) from the gates bit for bit, with the forward's
-    ops in its order, and writes each step's gate grads over that step's
-    gates, so that buffer ends as dZ. Its last act is to drop the gates
-    and the stacked weights, so a spent tape holds neither.
+    (D, B, S, 4H) buffer, and the stacked weights. Backward sends the
+    skip columns' gradient to x and the first 2H columns' into the
+    recurrence. It rebuilds c, and h = o * tanh(c) step by step, from
+    the gates bit for bit, with the forward's ops in its order, and
+    writes each step's gate grads over that step's gates, so that
+    buffer ends as dZ. Its last act is to drop the gates and the
+    stacked weights, so a spent tape holds neither.
     """
     if len(param_sets) not in (1, 2):
         raise ConfigurationError("bilstm_bank: expected 1 or 2 parameter "
@@ -636,7 +613,7 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
                              "parameters")
     n_sets = len(param_sets)
     D = 2 * n_sets  # sets x directions
-    G, H3 = 4 * H, 3 * H
+    G, H2, H3 = 4 * H, 2 * H, 3 * H
     inputs = (x,) + tuple(t for p in param_sets for t in p)
     tape = active_tape()
     keep = tape is not None and any(t.requires_grad for t in inputs)
@@ -644,20 +621,22 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
     whs = np.concatenate([p.wh.data for p in param_sets])
     bs = np.concatenate([p.b.data for p in param_sets])
 
-    # time-major input rows (a copy unless B == 1); forward and reverse
-    # directions project through their own (F, sets * 4H) weights
-    xt = xd.transpose(1, 0, 2).reshape(S * B, F)
+    # forward and reverse directions project through their own
+    # (F, sets * 4H) weights
     wp = wxs.reshape(n_sets, 2, F, G).transpose(1, 2, 0, 3).reshape(
         2, F, n_sets * G)
     bp = bs.reshape(n_sets, 2, G).transpose(1, 0, 2).reshape(2, n_sets * G)
     nb = min(_PROJ_BLOCK, S)
+    xs = np.empty((2, nb, B, F), dtype=dt)
     pbuf = np.empty((2, nb * B, n_sets * G), dtype=dt)
     proj = pbuf.reshape(2, nb, B, n_sets, G)
 
     # the output, filled step by step: forward hidden states in its first
-    # half and reverse ones, in input time order, in its second; with two
-    # sets, each is the product of the two sets' hidden states
-    y = np.empty((B, S, 2 * H), dtype=dt)
+    # H columns and reverse ones, in input time order, in the next H; with
+    # two sets, each is the product of the two sets' hidden states. The
+    # skip path, x itself, fills the last F columns.
+    y = np.empty((B, S, H2 + F), dtype=dt)
+    y[..., H2:] = xd
     gates = np.empty((D, B, S, G), dtype=dt) if keep else None
     z = np.empty((D, B, G), dtype=dt)
     h = np.zeros((D, B, H), dtype=dt)
@@ -671,9 +650,10 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             # product, which numpy hands to gemv, whose sums differ from
             # gemm's in the last bits.
             t0 = min(t, S - nb)
-            np.matmul(xt[t0 * B:(t0 + nb) * B], wp[0], out=pbuf[0])
-            np.matmul(xt[(S - t0 - nb) * B:(S - t0) * B], wp[1],
-                      out=pbuf[1])
+            xs[0] = xd[:, t0:t0 + nb].transpose(1, 0, 2)
+            xs[1] = xd[:, S - t0 - nb:S - t0].transpose(1, 0, 2)
+            np.matmul(xs[0].reshape(-1, F), wp[0], out=pbuf[0])
+            np.matmul(xs[1].reshape(-1, F), wp[1], out=pbuf[1])
             pbuf += bp[:, None]
         np.matmul(h, whs, out=z)
         z[0::2] += proj[0, t - t0].transpose(1, 0, 2)
@@ -685,48 +665,44 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
         np.tanh(z, out=z)
         sig *= 0.5
         sig += 0.5
-        np.multiply(z[..., H:2 * H], c, out=c)
+        np.multiply(z[..., H:H2], c, out=c)
         np.multiply(z[..., :H], z[..., H3:], out=tmp)
         c += tmp
         np.tanh(c, out=tmp)
         # the next step's matmul reads this contiguous h, not a strided
         # view of the outputs: its sums could then differ in the last bits
-        np.multiply(z[..., 2 * H:H3], tmp, out=h)
+        np.multiply(z[..., H2:H3], tmp, out=h)
         np.multiply.reduce(h_sets[:, 0], axis=0, out=y[:, t, :H])
-        np.multiply.reduce(h_sets[:, 1], axis=0, out=y[:, S - 1 - t, H:])
+        np.multiply.reduce(h_sets[:, 1], axis=0, out=y[:, S - 1 - t, H:H2])
         if keep:
             gates[:, :, t] = z
     out = Tensor(y)
 
     def backward(g):
         nonlocal gates, wxs, whs
-        # rebuild c and h as the forward made them: f*c, then i*g, then +=
+        # rebuild c as the forward made it: f*c, then i*g, then +=
         cs = np.empty((S, D, B, H), dtype=dt)
         tmp = np.empty((D, B, H), dtype=dt)
         c = np.zeros((D, B, H), dtype=dt)
         for t in range(S):
-            np.multiply(gates[:, :, t, H:2 * H], c, out=cs[t])
+            np.multiply(gates[:, :, t, H:H2], c, out=cs[t])
             np.multiply(gates[:, :, t, :H], gates[:, :, t, H3:], out=tmp)
             cs[t] += tmp
             c = cs[t]
-        hs = np.tanh(cs)
-        hs *= gates[..., 2 * H:H3].transpose(2, 0, 1, 3)
         # the grads of the set outputs, time-major, the reverse directions
-        # in step order: through the product, as mul's, straight into gst
-        gst = np.empty((S, D, B, H), dtype=dt)
+        # in step order
         g_time = g.transpose(1, 0, 2)
-        fwd_g, rev_g = g_time[..., :H], g_time[::-1, :, H:]
-        if n_sets == 1:
-            gst[:, 0] = fwd_g
-            gst[:, 1] = rev_g
-        else:
-            for s in range(2):
-                np.multiply(fwd_g, hs[:, 2 - 2 * s], out=gst[:, 2 * s])
-                np.multiply(rev_g, hs[:, 3 - 2 * s], out=gst[:, 2 * s + 1])
+        fwd_g, rev_g = g_time[..., :H], g_time[::-1, :, H:H2]
+        # each step's h as the next step read it, batch-major, the rows the
+        # recurrent weight-gradient products reduce over; step 0 read none
+        h_prev = np.empty((D, B, S, H), dtype=dt)
+        h_prev[:, :, 0] = 0.0
         dh = np.zeros((D, B, H), dtype=dt)
         dc = np.zeros((D, B, H), dtype=dt)
+        ht = np.empty((D, B, H), dtype=dt)
         tc = np.empty((D, B, H), dtype=dt)
         dht = np.empty((D, B, H), dtype=dt)
+        ht_sets, dht_sets = (a.reshape(n_sets, 2, B, H) for a in (ht, dht))
         dct = np.empty((D, B, H), dtype=dt)
         tmp3 = np.empty((D, B, H3), dtype=dt)
         dzt = np.empty((D, B, G), dtype=dt)
@@ -734,11 +710,21 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
         for t in range(S - 1, -1, -1):
             gt = gates[:, :, t]
             zi = gt[..., :H]
-            zf = gt[..., H:2 * H]
-            zo = gt[..., 2 * H:H3]
+            zf = gt[..., H:H2]
+            zo = gt[..., H2:H3]
             zg = gt[..., H3:]
             np.tanh(cs[t], out=tc)
-            np.add(gst[t], dh, out=dht)
+            np.multiply(tc, zo, out=ht)
+            if t < S - 1:
+                h_prev[:, :, t + 1] = ht
+            # dht = the set output's grad + dh; through the product, as
+            # mul's, when there are two sets
+            if n_sets == 1:
+                dht[0], dht[1] = fwd_g[t], rev_g[t]
+            else:
+                np.multiply(fwd_g[t], ht_sets[::-1, 0], out=dht_sets[:, 0])
+                np.multiply(rev_g[t], ht_sets[::-1, 1], out=dht_sets[:, 1])
+            dht += dh
             # dct = dc + dht * zo * (1 - tc^2)
             np.multiply(tc, tc, out=tmp)
             np.subtract(1.0, tmp, out=tmp)
@@ -748,10 +734,10 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             # raw gate grads, then one fused sigmoid-derivative pass
             np.multiply(dct, zg, out=dzt[..., :H])
             if t > 0:
-                np.multiply(dct, cs[t - 1], out=dzt[..., H:2 * H])
+                np.multiply(dct, cs[t - 1], out=dzt[..., H:H2])
             else:
-                dzt[..., H:2 * H] = 0.0
-            np.multiply(dht, tc, out=dzt[..., 2 * H:H3])
+                dzt[..., H:H2] = 0.0
+            np.multiply(dht, tc, out=dzt[..., H2:H3])
             sg = dzt[..., :H3]
             sgate = gt[..., :H3]
             sg *= sgate
@@ -767,8 +753,10 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             # step t's gates are spent; dZ takes their place, batch-major,
             # the row order the weight-gradient products reduce over
             gt[...] = dzt
+        del cs, c   # spent: the weight and input grads need no cell state
         dZ = gates
         dZ2 = dZ.reshape(D, B * S, G)
+        h_prev2 = h_prev.reshape(D, B * S, H)
         if any(p.wx.requires_grad for p in param_sets):
             # the rows each direction read: x itself for the forward ones,
             # a reversed copy for the reverse ones
@@ -779,14 +767,8 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             if p.b.requires_grad:
                 p.b.accumulate_grad(dZ[sl].sum(axis=(1, 2)), owned=True)
             if p.wh.requires_grad:
-                # the hidden states of the step before, batch-major; step 0
-                # has no predecessor
-                h_prev = np.empty((2, B, S, H), dtype=dt)
-                h_prev[:, :, 0] = 0.0
-                h_prev[:, :, 1:] = hs[:-1, sl].transpose(1, 2, 0, 3)
                 p.wh.accumulate_grad(np.matmul(
-                    h_prev.reshape(2, B * S, H).transpose(0, 2, 1),
-                    dZ2[sl]), owned=True)
+                    h_prev2[sl].transpose(0, 2, 1), dZ2[sl]), owned=True)
             if p.wx.requires_grad:
                 gwx = np.empty((2, F, G), dtype=dt)
                 for d in range(2):
@@ -795,7 +777,8 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
         if x.requires_grad:
             # one direction at a time, never a (D, B, S, F) block: the sum
             # over the forward directions, the one over the reverse
-            # directions, then the reverse sum mirrored to input time
+            # directions, then the reverse sum mirrored to input time and
+            # the skip columns' grad
             fwd = np.matmul(dZ2[0], wxs[0].T)
             rev = np.matmul(dZ2[1], wxs[1].T)
             if n_sets == 2:
@@ -806,6 +789,7 @@ def bilstm_bank(x: Tensor, param_sets: Sequence[LSTMParams]) -> Tensor:
             fwd = fwd.reshape(B, S, F)
             fwd += rev.reshape(B, S, F)[:, ::-1]
             del rev
+            fwd += g[..., H2:]
             x.accumulate_grad(fwd, owned=True)
         # drop what the forward saved: a spent tape lives as long as any
         # output it recorded, and would pin it

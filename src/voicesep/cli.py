@@ -146,23 +146,28 @@ def cmd_train(args) -> int:
         num_speakers=args.speakers, chunk_len=args.chunk,
         gating="gating" not in ablate)
     model_cfg.validate()
-    _dump_runconfig(args)
     train_entries = dataio.load_manifest(
         os.path.join(args.data, "train.jsonl"))
     valid_path = os.path.join(args.data, "valid.jsonl")
     valid_entries = (dataio.load_manifest(valid_path)
                      if os.path.exists(valid_path) else None)
+    if args.resume:
+        # train() repeats the check; here it runs before anything is written
+        trainer.load_resume(args.resume, model_cfg, cfg, len(train_entries))
     model = init_params(model_cfg, seed=args.seed)
     embedder = None
-    if use_id:
-        if args.embedder:
-            embedder, _, _ = ckpt.load_embedder(args.embedder)
-        else:
-            corpus = embedder_corpus(args.data, "train")
-            embedder, acc = train_embedder(corpus, seed=args.seed)
-            ckpt.save_embedder(os.path.join(args.out, "embedder.ckpt"),
-                               embedder, seed=args.seed)
-            print(f"embedder trained, holdout accuracy {acc:.3f}")
+    if use_id and (args.embedder or args.resume):
+        # a resume keeps the embedder its run trained
+        embedder, _, _ = ckpt.load_embedder(
+            args.embedder or os.path.join(os.path.dirname(args.resume),
+                                          "embedder.ckpt"))
+    _dump_runconfig(args)
+    if use_id and embedder is None:
+        corpus = embedder_corpus(args.data, "train")
+        embedder, acc = train_embedder(corpus, seed=args.seed)
+        ckpt.save_embedder(os.path.join(args.out, "embedder.ckpt"),
+                           embedder, seed=args.seed)
+        print(f"embedder trained, holdout accuracy {acc:.3f}")
     _, logs = trainer.train(model, embedder, train_entries, cfg,
                             valid_entries=valid_entries, out_dir=args.out,
                             resume_from=args.resume)

@@ -1,9 +1,9 @@
 """The gated dual-path separator: encoder, MulCat blocks, decoding heads.
 
-A MulCat block runs two bidirectional LSTMs over the same sequence and
-multiplies their outputs elementwise, one fused op (autodiff.bilstm_bank;
-the "-gating" ablation keeps one LSTM and no product). It concatenates
-the block input (the skip path) and projects back to the feature width.
+A MulCat block runs two bidirectional LSTMs over the same sequence,
+multiplies their outputs elementwise and appends the block input (the
+skip path) in one fused op (autodiff.bilstm_bank; the "-gating" ablation
+keeps one LSTM and no product), then projects back to the feature width.
 Odd blocks recur along the chunk index axis (long-term, length R), even
 blocks along the intra-chunk axis (short-term, length K). After every
 even block, a shared PReLU + 1x1 decoder produces one (C, T) tensor of
@@ -151,12 +151,11 @@ def mulcat_block(model: SeparatorModel, v: Tensor, index: int) -> Tensor:
     along_r = index % 2 == 1
     seqs = ad.transpose(v, (1, 0, 2)) if along_r else v  # (B, S, N)
     n_lstms = 2 if model.config.gating else 1
-    # unbound, the gated product and the (B, S, 2H + N) concatenation are
-    # freed as soon as the next op has read them when no tape holds them
+    # unbound, the (B, S, 2H + N) product-and-skip buffer is freed as soon
+    # as the projection has read it when no tape holds it
     proj = ad.linear(
-        ad.concat([ad.bilstm_bank(seqs, [model.lstm_params(index, j)
-                                         for j in range(1, n_lstms + 1)]),
-                   seqs], axis=2),
+        ad.bilstm_bank(seqs, [model.lstm_params(index, j)
+                              for j in range(1, n_lstms + 1)]),
         model.params[f"block{index}.proj.w"],
         model.params[f"block{index}.proj.b"])
     return ad.transpose(proj, (1, 0, 2)) if along_r else proj
@@ -187,6 +186,7 @@ def forward(model: SeparatorModel, x, multiloss: bool = True) -> list:
     t_latent = z.shape[0]
     k = model.config.chunk_len or dsp.default_chunk_len(t_latent)
     v = dsp.chunk(z, k)
+    del z   # without a tape, the latent is not needed past the chunker
     groups = []
     for i in range(1, model.config.num_blocks + 1):
         v = mulcat_block(model, v, i)

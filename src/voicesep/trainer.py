@@ -104,6 +104,27 @@ def crop_loss(model, embedder, x, targets, cfg: TrainConfig):
     return loss
 
 
+def load_resume(resume_from, config, cfg: TrainConfig, n_entries: int):
+    """(loaded model, optimizer state, first epoch left) of the
+    checkpoint train() resumes from over `n_entries` entries; writes
+    nothing. Raises ConfigurationError for another model config, a step
+    that is no whole number of epochs, or no epoch of cfg.epochs left."""
+    loaded, _seed, step, opt_state = ckpt.load_separator(resume_from)
+    if loaded.config.to_dict() != config.to_dict():
+        raise ConfigurationError(
+            "resume checkpoint config does not match the model")
+    done, part = divmod(step, math.ceil(n_entries / cfg.batch_size))
+    if step < 0 or part:
+        raise ConfigurationError(
+            f"resume: step {step} of {resume_from} is not a whole "
+            f"number of epochs at batch size {cfg.batch_size}")
+    if done >= cfg.epochs:
+        raise ConfigurationError(
+            f"resume: {resume_from} ends epoch {done}, so no epoch of "
+            f"{cfg.epochs} is left to train")
+    return loaded, opt_state, done + 1
+
+
 def train(model, embedder, train_entries, cfg: TrainConfig,
           valid_entries=None, out_dir=None, resume_from=None):
     """Optimize `model` in place. Returns (model, list of EpochLog).
@@ -138,25 +159,13 @@ def train(model, embedder, train_entries, cfg: TrainConfig,
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     start_epoch = 1
     if resume_from is not None:
-        loaded, _seed, step, opt_state = ckpt.load_separator(resume_from)
-        if loaded.config.to_dict() != model.config.to_dict():
-            raise ConfigurationError(
-                "resume checkpoint config does not match the model")
-        done, part = divmod(step, steps_per_epoch)
-        if step < 0 or part:
-            raise ConfigurationError(
-                f"resume: step {step} of {resume_from} is not a whole "
-                f"number of epochs at batch size {cfg.batch_size}")
-        if done >= cfg.epochs:
-            raise ConfigurationError(
-                f"resume: {resume_from} ends epoch {done}, so no epoch of "
-                f"{cfg.epochs} is left to train")
+        loaded, opt_state, start_epoch = load_resume(
+            resume_from, model.config, cfg, n)
         for (_, dst), (_, src) in zip(model.named_parameters(),
                                       loaded.named_parameters()):
             dst.data = src.data
         if opt_state:
             opt.load_state_arrays(opt_state)
-        start_epoch = done + 1
 
     stride = model.config.kernel_len // 2
     seg_len = int(round(cfg.segment_s * SAMPLE_RATE))

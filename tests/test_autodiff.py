@@ -74,10 +74,7 @@ def test_shape_ops_grads():
     check(lambda: weighted_sum(ad.pad_rows(x, 2, 1)), [("x", x)])
 
 
-def test_concat_split_grads():
-    a, b = t64((3, 4)), t64((2, 4))
-    check(lambda: weighted_sum(ad.concat([a, b], axis=0)),
-          [("a", a), ("b", b)])
+def test_slice_axis_split_grads():
     c = t64((3, 2, 6))
 
     def f_split():
@@ -198,12 +195,35 @@ def test_bilstm_bank_grads_all_outputs():
 
 
 def test_bilstm_bank_matches_separate_calls():
-    """The gate is the product of the two sets run alone, bit for bit."""
+    """The gate is the product of the two sets run alone, bit for bit,
+    and the skip columns after it hold the input."""
     x = t64((2, 5, 3))
     p1, p2 = make_lstm_params(3, 4), make_lstm_params(3, 4)
     gated = ad.bilstm_bank(x, [p1, p2]).data
     np.testing.assert_array_equal(
-        gated, ad.bilstm_bank(x, [p1]).data * ad.bilstm_bank(x, [p2]).data)
+        gated[..., :8], ad.bilstm_bank(x, [p1]).data[..., :8]
+        * ad.bilstm_bank(x, [p2]).data[..., :8])
+    np.testing.assert_array_equal(gated[..., 8:], x.data)
+
+
+def test_bilstm_bank_skip_grads():
+    """The skip columns' gradient reaches x: alone, as exactly the
+    weights on those columns; with the gate's and another consumer's, in
+    a float64 check of every input."""
+    x = t64((2, 5, 3))
+    p1, p2 = make_lstm_params(3, 4), make_lstm_params(3, 4)
+    w = np.zeros((2, 5, 11))
+    w[..., 8:] = np.random.default_rng(1).standard_normal((2, 5, 3))
+    with ad.Tape() as tape:
+        loss = ad.linear(ad.reshape(ad.bilstm_bank(x, [p1, p2]), (1, -1)),
+                         ad.Tensor(w.reshape(-1, 1)))
+    x.zero_grad()
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, w[..., 8:])
+    check(lambda: ad.add(weighted_sum(ad.bilstm_bank(x, [p1, p2])),
+                         weighted_sum(ad.mul(x, x), 1)),
+          [("x", x), ("wx1", p1.wx), ("wh1", p1.wh), ("b1", p1.b),
+           ("wx2", p2.wx), ("wh2", p2.wh), ("b2", p2.b)])
 
 
 def test_bilstm_reversal_symmetry():
@@ -220,7 +240,8 @@ def test_bilstm_reversal_symmetry():
     x = rng.standard_normal((1, 7, f))
     out_fwd = ad.bilstm_bank(ad.Tensor(x), [p]).data[0]
     out_rev = ad.bilstm_bank(ad.Tensor(x[:, ::-1].copy()), [p]).data[0]
-    np.testing.assert_allclose(out_fwd[:, :h], out_rev[::-1, h:], atol=1e-12)
+    np.testing.assert_allclose(out_fwd[:, :h], out_rev[::-1, h:2 * h],
+                               atol=1e-12)
 
 
 def test_cross_entropy_grad_and_value():
@@ -357,12 +378,11 @@ def test_owned_first_grads_are_adopted_and_grads_unchanged(monkeypatch):
         losses = [
             weighted_sum(ad.add(x, x)),
             weighted_sum(ad.mul(x, x)),
-            weighted_sum(ad.concat([ad.linear(x, w), ad.linear(a, w)], 0)),
+            ad.add(weighted_sum(ad.linear(x, w)),
+                   weighted_sum(ad.linear(a, w), 1)),
             weighted_sum(ad.add(ad.linear(x, t64((4, 4), rng=rng)),
                                 ad.add(x, z))),
-            weighted_sum(ad.concat([ad.reshape(ad.bilstm_bank(seq, [p, p]),
-                                               (6, 6)),
-                                    ad.reshape(seq, (6, 4))], 1)),
+            weighted_sum(ad.bilstm_bank(seq, [p, p])),
         ]
         return losses, [x, z, w, a, seq] + list(p)
 

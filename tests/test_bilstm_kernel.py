@@ -3,14 +3,15 @@
 `reference_bilstm_bank` is the earlier kernel, kept verbatim as a test
 oracle: it returns one output per parameter set, stacks D copies of the
 input, stores every per-step buffer batch-major and keeps tanh(c).
-`bilstm_bank` returns one output, the product of two sets or the output
-of one; it must give the same float32 bits as the oracle's outputs
-multiplied with `ad.mul`, for the output and for every gradient, also
-over a chain of taped calls. It must hold less memory: under a tape it
-keeps only the gates and the stacked weights for backward, which
-rebuilds the cell and hidden states from the gates, writes the gate
-gradients over them, and then drops both, so a spent tape holds
-neither.
+`bilstm_bank` returns one (B, S, 2H + F) output: the product of two sets
+or the output of one, then a copy of its input (the MulCat skip). It
+must give the same float32 bits as the oracle's outputs multiplied with
+`ad.mul` and followed by the input, for the output and for every
+gradient, also over a chain of taped calls. It must hold less memory:
+under a tape it keeps only the gates and the stacked weights for
+backward, which rebuilds the cell and hidden states from the gates,
+writes the gate gradients over them, and then drops both, so a spent
+tape holds neither.
 """
 
 import tracemalloc
@@ -152,9 +153,19 @@ def reference_bilstm_bank(x, param_sets):
 
 def oracle(x, param_sets):
     """The reference kernel's outputs combined as the fused op returns
-    them: the product of two sets, or the output of one."""
+    them: the product of two sets, or the output of one, followed by
+    the input along the last axis. The concatenation is a node of its
+    own, whose backward hands each part its columns of the gradient."""
     outs = reference_bilstm_bank(x, param_sets)
-    return ad.mul(*outs) if len(outs) == 2 else outs[0]
+    gated = ad.mul(*outs) if len(outs) == 2 else outs[0]
+    h2 = gated.data.shape[-1]
+    cat = Tensor(np.concatenate([gated.data, x.data], axis=-1))
+
+    def backward(g):
+        for part, cols in ((x, g[..., h2:]), (gated, g[..., :h2])):
+            if part.requires_grad:
+                part.accumulate_grad(cols)
+    return ad._finish(cat, (gated, x), backward)
 
 
 # (B, S, F, H): the paper config on a 1 s crop (N = H = 128, 64 chunks of
@@ -177,7 +188,7 @@ def make_case(shape, n_sets, batched=True, seed=0):
         sets.append((rng.uniform(-lim_x, lim_x, (2, F, 4 * H)),
                      rng.uniform(-lim_h, lim_h, (2, H, 4 * H)), b))
     sets = [tuple(a.astype(np.float32) for a in p) for p in sets]
-    weight = rng.standard_normal((B, S, 2 * H)).astype(np.float32)
+    weight = rng.standard_normal((B, S, 2 * H + F)).astype(np.float32)
     return x, sets, weight
 
 
@@ -208,6 +219,22 @@ def assert_same(new, ref):
         assert (g is None) == (r is None)
         if g is not None:
             assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("n_sets", [1, 2])
+def test_output_is_the_gate_then_the_input(n_sets):
+    """The first 2H columns hold the reference's gate, the product of the
+    two sets' outputs or the one set's output; the last F hold the input
+    exactly."""
+    x_data, set_data, _ = make_case(SHAPES["small"], n_sets)
+    x = Tensor(x_data)
+    sets = [ad.LSTMParams(*(Tensor(a) for a in p)) for p in set_data]
+    refs = [o.data for o in reference_bilstm_bank(x, sets)]
+    y = ad.bilstm_bank(x, sets).data
+    h2 = refs[0].shape[-1]
+    assert y.shape == x_data.shape[:2] + (h2 + x_data.shape[2],)
+    assert np.array_equal(y[..., :h2], np.prod(refs, axis=0))
+    assert np.array_equal(y[..., h2:], x_data)
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
@@ -297,6 +324,10 @@ def traced_call(fn):
 # weights and the per-step h, c and gate scratch.
 MEM_SHAPE = (64, 64, 32, 32)
 SLACK = 512 * 1024
+# A wide input, so that a time-major copy of it or a (D, B, S, F)
+# input-gradient block would not fit within the slack of a bound that
+# leaves it out.
+WIDE_SHAPE = (64, 64, 128, 32)
 
 
 def mem_case(shape=MEM_SHAPE):
@@ -313,8 +344,10 @@ def mem_case(shape=MEM_SHAPE):
                           + D * B * 4 * H) * item,
              "params": D * (F + H + 1) * 4 * H * item,
              "stacked": D * (F + H) * 4 * H * item,
+             "proj_weights": D * F * 4 * H * item,
+             "staging": 2 * BLOCK * B * F * item,
              "outs": 2 * B * S * 2 * H * item,
-             "gated": B * S * 2 * H * item,
+             "out": B * S * (2 * H + F) * item,
              "gates": S * D * B * 4 * H * item,
              "cs": S * D * B * H * item,
              "hs": S * D * B * H * item,
@@ -329,24 +362,28 @@ def mem_case(shape=MEM_SHAPE):
 
 
 def test_no_tape_call_peaks_below_outputs_plus_one_input_copy():
-    """No (S, B, D, 4H) projection, no (S, D, B, H) hidden-state staging
-    and no per-set outputs: the input is projected one block of steps at
-    a time, and each step's hidden states, multiplied across the two
-    sets, go straight into the one output. So the peak is the output,
-    one time-major input copy, one projection block and the per-step
-    scratch."""
-    x, sets, sizes = mem_case()
+    """No (S, B, D, 4H) projection, no time-major input copy, no
+    (S, D, B, H) hidden-state staging and no per-set outputs: the input
+    is staged and projected one block of steps at a time, and each step's
+    hidden states, multiplied across the two sets, go straight into the
+    one output, beside the skip copy of the input. So the peak is the
+    output, one staging block, one projection block, the per-step
+    scratch and the stacked weights. The input is wide, so that a
+    time-major copy of it would not fit in the slack."""
+    x, sets, sizes = mem_case(WIDE_SHAPE)
     _, _, peak = traced_call(lambda: ad.bilstm_bank(x, sets))
-    floor = sizes["gated"] + sizes["x_time_major"] + sizes["proj_block"]
-    bound = floor + sizes["step"] + SLACK
-    assert bound < floor + min(sizes["hs"], sizes["outs"])
+    floor = sizes["out"] + sizes["staging"] + sizes["proj_block"]
+    bound = (floor + sizes["step"] + sizes["stacked"]
+             + sizes["proj_weights"] + SLACK)
+    assert bound < floor + min(sizes["x_time_major"], sizes["hs"],
+                               sizes["outs"])
     assert floor <= peak < bound
 
 
 def test_taped_call_holds_no_input_copy_or_tanh_c():
     """A taped call keeps only the gates for backward -- no input copy,
     no tanh(c), no cell states and no per-set outputs -- and returns the
-    gated product."""
+    gated product beside the skip copy of the input."""
     x, sets, sizes = mem_case()
     tape = ad.Tape()
 
@@ -354,7 +391,7 @@ def test_taped_call_holds_no_input_copy_or_tanh_c():
         with tape:
             return ad.bilstm_bank(x, sets)
     _, held, _ = traced_call(call)
-    saved = sizes["gates"] + sizes["gated"]
+    saved = sizes["gates"] + sizes["out"]
     assert SLACK < min(sizes["cs"], sizes["outs"])
     assert saved <= held < saved + SLACK
 
@@ -374,48 +411,46 @@ def test_spent_tape_holds_no_gates_or_stacked_weights():
         tape.backward(loss)
         return tape, loss, out
     _, held, _ = traced_call(call_and_backward)
-    kept = sizes["gated"] + sizes["x"] + sizes["params"]
+    kept = sizes["out"] + sizes["x"] + sizes["params"]
     assert sizes["stacked"] < sizes["gates"]
     assert kept <= held < kept + sizes["stacked"]
 
 
-# A wide input, so that a (D, B, S, F) input-gradient block would not
-# fit within the slack of a bound that leaves it out.
-WIDE_SHAPE = (64, 64, 128, 32)
-
-
 def test_backward_peaks_without_a_stacked_input_gradient():
-    """Backward holds the output gradient, the rebuilt cell and hidden
-    states, the time-major set-output gradients gst, a reversed copy of
-    the input rows for the reverse directions' input-weight gradient (the
-    forward ones read x itself) and one set's h_prev, besides the
-    per-step scratch and the parameter gradients. dZ takes no memory of
-    its own: it is written over the gates. It builds the input gradient
-    one direction at a time, in a forward sum, a reverse sum and one
-    product: never a (D, B, S, F) block."""
+    """Backward holds the output gradient, the rebuilt cell states, every
+    direction's h_prev, which its step loop fills as it rebuilds h, and a
+    reversed copy of the input rows for the reverse directions'
+    input-weight gradient (the forward ones read x itself), besides the
+    per-step scratch and the parameter gradients. No time-major tanh(c)
+    or hidden states, and no staged set-output gradients; the cell
+    states are dropped before the input gradient is built. dZ takes no
+    memory of its own: it is written over the gates. The input gradient
+    is built one direction at a time, in a forward sum, a reverse sum
+    and one product: never a (D, B, S, F) block."""
     x, sets, sizes = mem_case(WIDE_SHAPE)
     with ad.Tape() as tape:
         loss = ad.mean_axes(ad.bilstm_bank(x, sets), (0, 1, 2))
     _, _, peak = traced_call(lambda: tape.backward(loss))
-    held = (sizes["gated"] + sizes["cs"] + 2 * sizes["hs"] + sizes["x"]
-            + sizes["h_prev"])
+    held = sizes["out"] + sizes["hs"] + sizes["x"]
     bound = held + sizes["bwd_step"] + sizes["params"] + 3 * sizes["x"] \
         + SLACK
-    assert bound < held + min(sizes["input_copy"], sizes["dZ"])
+    assert bound < held + 3 * sizes["x"] + min(
+        sizes["cs"], sizes["input_copy"], sizes["dZ"])
     assert held + 3 * sizes["x"] <= peak < bound
 
 
 def test_chained_calls_match_the_reference():
-    """Taped calls chained as the model's blocks chain them, alternating
-    between (B, S, F) and (S, B, F) inputs, over three steps of a tape
-    each: every call's output and every gradient keeps the reference's
-    bits."""
+    """Taped calls chained as the model's blocks chain them, each output
+    projected back to the input width and alternating between (B, S, F)
+    and (S, B, F) inputs, over three steps of a tape each: every call's
+    output and every gradient keeps the reference's bits."""
     B, S, H = 6, 4, 8
     for step in range(3):
         rng = np.random.default_rng(step)
         cases = [make_case((B, S, 2 * H, H), n_sets, seed=10 * step + i)
                  for i, n_sets in enumerate((2, 2, 1, 2))]
         x_data = rng.standard_normal((B, S, 2 * H)).astype(np.float32)
+        w_proj = rng.standard_normal((4 * H, 2 * H)).astype(np.float32)
         weight = rng.standard_normal((B * S * 2 * H, 1)).astype(np.float32)
 
         def chain(kernel):
@@ -428,7 +463,8 @@ def test_chained_calls_match_the_reference():
                 y = x
                 for sets in calls:
                     outs.append(kernel(y, sets))
-                    y = ad.transpose(outs[-1], (1, 0, 2))
+                    y = ad.transpose(ad.linear(outs[-1], Tensor(w_proj)),
+                                     (1, 0, 2))
                 tape.backward(ad.linear(ad.reshape(y, (1, -1)),
                                         Tensor(weight)))
             return ([o.data for o in outs],

@@ -50,7 +50,8 @@ def test_synth_data_outputs(corpus):
 def test_train_outputs(trained):
     for name in ("runconfig.json", "train.log", "last.ckpt", "best.ckpt"):
         assert os.path.exists(os.path.join(trained, name)), name
-    rc = json.load(open(os.path.join(trained, "runconfig.json")))
+    with open(os.path.join(trained, "runconfig.json")) as f:
+        rc = json.load(f)
     assert rc["epochs"] == 1 and rc["filters"] == 8
 
 
@@ -166,7 +167,8 @@ def test_eval_malformed_manifest_exits_3(tmp_path, corpus, trained):
     """A manifest record without gains, whose WAVs all load, is refused
     with FormatError's exit code, not a traceback, and no report is
     written."""
-    rec = json.loads(open(os.path.join(corpus, "test.jsonl")).readline())
+    with open(os.path.join(corpus, "test.jsonl")) as f:
+        rec = json.loads(f.readline())
     rec["mixture"] = os.path.join(corpus, rec["mixture"])
     rec["sources"] = [os.path.join(corpus, p) for p in rec["sources"]]
     del rec["gains"]
@@ -301,7 +303,7 @@ def test_select_command(tmp_path, corpus, trained):
     code = main(["select", "--out", str(out), "--cascade", cascade,
                  "--threshold", "-60", "--in", str(wav)])
     assert code == 0
-    sel = json.load(open(out / "selection.json"))
+    sel = json.loads((out / "selection.json").read_text())
     assert sel["chosen_c"] in (2, 3)
     assert os.path.exists(out / "channel0.wav")
 
@@ -315,7 +317,7 @@ def test_config_file_under_flags(tmp_path, corpus):
     code = main(["synth-data", "--out", str(out), "--config", str(cfgfile),
                  "--seed", "5"])  # flag beats file
     assert code == 0
-    rc = json.load(open(out / "runconfig.json"))
+    rc = json.loads((out / "runconfig.json").read_text())
     assert rc["seed"] == 5 and rc["n_speakers"] == 8
 
 
@@ -425,6 +427,33 @@ def test_train_resume_that_cannot_continue_exits_2(tmp_path, corpus,
         assert err.startswith("ConfigurationError: ") and match in err
         assert err.count("\n") == 1
     assert kept == {name: (run / name).read_bytes() for name in kept}
+
+
+def test_train_resume_checks_before_writing_and_keeps_the_embedder(
+        tmp_path, capsys):
+    """With the identity loss on and no --embedder, a resume that cannot
+    continue exits 2 before it writes anything: `runconfig.json` and the
+    run's `embedder.ckpt` keep their bytes. A resume that continues
+    trains with the run's own embedder instead of a new one."""
+    data = tmp_path / "corpus"   # 20 clips a training speaker
+    assert main(["synth-data", "--out", str(data), "--n-speakers", "8",
+                 "--utts", "10", "--duration", "1.0", "--counts",
+                 '{"2": {"train": 2, "valid": 1, "test": 1}}']) == 0
+    run = tmp_path / "run"
+    base = ["train", "--out", str(run), "--data", str(data), "--segment",
+            "0.5", *SMALL_FLAGS]
+    assert main([*base, "--epochs", "1"]) == 0
+    assert "embedder trained" in capsys.readouterr().out
+    names = ("runconfig.json", "embedder.ckpt")
+    kept = {name: (run / name).read_bytes() for name in names}
+    resume = ["--resume", str(run / "last.ckpt")]
+    assert main([*base, "--epochs", "1", *resume]) == 2
+    assert capsys.readouterr().err.startswith("ConfigurationError: ")
+    assert kept == {name: (run / name).read_bytes() for name in names}
+    assert main([*base, "--epochs", "2", *resume]) == 0
+    assert "embedder trained" not in capsys.readouterr().out
+    assert (run / "embedder.ckpt").read_bytes() == kept["embedder.ckpt"]
+    assert json.loads((run / "runconfig.json").read_text())["epochs"] == 2
 
 
 def test_train_resume_from_partial_optimizer_state_exits_4(tmp_path,

@@ -223,10 +223,11 @@ def test_corpus_rebuild_is_byte_identical(corpus, tmp_path):
         with open(manifests[split], "rb") as f1, open(m2[split], "rb") as f2:
             assert f1.read() == f2.read()
     # and the referenced WAVs as well
-    rel = json.loads(open(m2["train"]).readline())["mixture"]
-    b1 = open(os.path.join(root, rel), "rb").read()
-    b2 = open(os.path.join(str(again), rel), "rb").read()
-    assert b1 == b2
+    with open(m2["train"]) as f:
+        rel = json.loads(f.readline())["mixture"]
+    with open(os.path.join(root, rel), "rb") as f1, \
+            open(os.path.join(str(again), rel), "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def test_corpus_infeasible_split():

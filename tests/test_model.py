@@ -7,6 +7,7 @@ the stride-L/2 convolution and the wave decoder its transpose, computed
 by framing and overlap-add (`chunk_rows`, `ola_rows`) around `linear`.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import voicesep.autodiff as ad
 from voicesep import dsp
+from voicesep.data import SAMPLE_RATE
 from voicesep.errors import ConfigurationError, InputError, NumericError
 from voicesep.losses import MAX_CHANNELS
 from voicesep.model import (ModelConfig, decode_head, encode, forward,
@@ -97,6 +99,31 @@ def test_separate_keeps_any_length():
         np.testing.assert_array_equal(a, b[:4001])
 
 
+def test_separate_memory_grows_by_six_chunked_latents_a_second():
+    """Without a tape, separate's traced peak grows by at most six
+    chunked latents per second of audio; an (R, K, N) chunking at hop
+    K/2 holds about 2 * T' rows of N floats. The peak sits in an along-R
+    block's bilstm_bank, which holds the block input, its transposed
+    copy and the gate-and-skip buffer, three chunked latents wide at
+    H = N: five in all. Before the gate and the skip shared one buffer,
+    and while forward kept the latent, it was 7.5."""
+    cfg = ModelConfig(n_filters=32, hidden=32, num_blocks=4, num_speakers=2)
+    m = init_params(cfg, seed=0)
+    rng = np.random.default_rng(6)
+    peaks = []
+    for seconds in (2, 4):
+        x = rng.standard_normal(seconds * SAMPLE_RATE).astype(np.float32)
+        tracemalloc.start()
+        try:
+            separate(m, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    frames_per_s = 2 * SAMPLE_RATE // cfg.kernel_len       # T' a second
+    chunked_per_s = 2 * frames_per_s * cfg.n_filters * 4   # bytes
+    assert (peaks[1] - peaks[0]) / 2 <= 6 * chunked_per_s
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
 def test_separate_rejects_non_finite_input(bad):
@@ -134,9 +161,11 @@ def test_each_block_records_one_bilstm_bank_node(gating):
 @pytest.mark.parametrize("index", [1, 2], ids=["along_r", "along_k"])
 def test_mulcat_block_frees_gate_and_concat_without_a_tape(monkeypatch,
                                                            index):
-    """With no tape, the gated product is freed once the concatenation
-    has read it, and the concatenation once the projection has: neither
-    is alive when a later op of the block starts."""
+    """With no tape, the block's one (B, S, 2H + N) buffer of gated
+    product and skip is freed once the projection has read it: it is not
+    alive when a later op of the block starts, nor once the block has
+    returned. The block runs no op besides the gate, the projection and,
+    along R, the two transposes."""
     m = small_model()
     v = ad.Tensor(np.random.default_rng(4).standard_normal(
         (5, 6, SMALL["n_filters"])).astype(np.float32))
@@ -151,15 +180,16 @@ def test_mulcat_block_frees_gate_and_concat_without_a_tape(monkeypatch,
             outputs[name] = weakref.ref(out.data)
             return out
         return call
-    for name in ("bilstm_bank", "concat", "linear", "transpose"):
+    for name in ("bilstm_bank", "linear", "transpose"):
         monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
-    mulcat_block(m, v, index)
+    out = mulcat_block(m, v, index)
     ops = [name for name, _ in starts]
-    at_linear = ops.index("linear")
-    assert "bilstm_bank" not in starts[at_linear][1]
-    assert ops[at_linear + 1:] == (["transpose"] if index == 1 else [])
-    for _, alive in starts[at_linear + 1:]:
-        assert not alive & {"bilstm_bank", "concat"}
+    around = ["transpose"] if index == 1 else []
+    assert ops == around + ["bilstm_bank", "linear"] + around
+    for _, alive in starts[ops.index("linear") + 1:]:
+        assert "bilstm_bank" not in alive
+    assert outputs["bilstm_bank"]() is None
+    assert out.shape == v.shape
 
 
 def test_gating_false_still_forward():

@@ -140,10 +140,11 @@ def test_crop_objective_gradient_matches_central_differences(monkeypatch,
 
 def test_paper_shaped_step_records_one_si_snr_per_scale():
     """A 1 s crop through the paper's shape (b = 6 blocks, so three
-    scales, C = 2, with the identity loss) records at most 102 tape
-    nodes, one si_snr of them per scale: the decode heads carry their
-    channels as one (C, T) tensor, and uPIT scores the permutations off
-    the tape. A small N and H leave the node count as at N = H = 128."""
+    scales, C = 2, with the identity loss) records at most 96 tape
+    nodes, one si_snr of them per scale: each MulCat block's gate and
+    skip are one node, the decode heads carry their channels as one
+    (C, T) tensor, and uPIT scores the permutations off the tape. A
+    small N and H leave the node count as at N = H = 128."""
     model = init_params(ModelConfig(n_filters=8, hidden=8, num_blocks=6,
                                     num_speakers=2), seed=0)
     model.set_requires_grad(True)
@@ -156,7 +157,7 @@ def test_paper_shaped_step_records_one_si_snr_per_scale():
                           small_cfg(idloss=True))
     owners = [node.backward.__qualname__.split(".")[0]
               for node in tape._nodes]
-    assert len(owners) <= 102
+    assert len(owners) <= 96
     assert owners.count("si_snr") == 3
 
 
